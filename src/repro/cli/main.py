@@ -434,6 +434,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"coverage memo: hits={c.coverage_memo_hits} "
                 f"misses={c.coverage_memo_misses}"
             )
+            print(
+                f"search nodes: coverage={c.coverage_nodes_expanded} "
+                f"patterns={c.pattern_nodes_expanded}  "
+                f"pattern memo: hits={c.pattern_memo_hits} "
+                f"misses={c.pattern_memo_misses}"
+            )
     if args.store:
         from repro.store import save_result
 
@@ -518,7 +524,8 @@ def _run_update(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             f"{stats.roots_reevaluated} re-evaluated, branches "
             f"{stats.branches_reused} reused / {stats.branches_rerun} "
             f"rerun, {stats.records_patched} record(s) patched, "
-            f"{stats.memo_evicted} memo entr(ies) evicted "
+            f"{stats.memo_evicted} coverage + {stats.pattern_memo_evicted} "
+            f"pattern memo entr(ies) evicted "
             f"in {stats.elapsed_seconds:.2f}s"
         )
         print(

@@ -15,8 +15,9 @@ The invalidation logic rests on the chunk footprint of
 :mod:`repro.graph.evolve` and the soundness argument of
 :mod:`repro.quasiclique.delta`:
 
-* **Coverage memo** — entries whose working set intersects a touched
-  chunk are evicted; survivors answer for bit-identical subgraphs.
+* **Coverage and pattern memos** — entries whose working set intersects
+  a touched chunk are evicted; survivors answer for bit-identical
+  subgraphs.
 * **Roots** (frequent 1-attribute sets) — a root is *dirty* iff its
   attribute was edited or its tidset intersects a touched chunk.  A
   clean root's record is reused verbatim: its support is unchanged (the
@@ -76,11 +77,10 @@ from repro.correlation.patterns import (
 )
 from repro.correlation.scpm import (
     SCPM,
-    _BranchPayload,
     _Candidate,
+    _MemoLayers,
     _accumulate_counters,
     _branch_task,
-    _candidate_state,
 )
 from repro.errors import DeltaError
 from repro.graph.evolve import AttributeEdit, DeltaReport, EdgeEdit
@@ -128,10 +128,15 @@ class _RootState:
 
 @dataclass
 class UpdateStats:
-    """Work accounting of one :meth:`IncrementalSCPM.update` call."""
+    """Work accounting of one :meth:`IncrementalSCPM.update` call.
+
+    ``memo_evicted`` counts coverage-memo evictions and
+    ``pattern_memo_evicted`` top-k pattern-memo evictions.
+    """
 
     touched_chunks: int = 0
     memo_evicted: int = 0
+    pattern_memo_evicted: int = 0
     roots_total: int = 0
     roots_reused: int = 0
     roots_reevaluated: int = 0
@@ -316,8 +321,11 @@ class IncrementalSCPM:
         touched = report.touched_chunks
         stats.touched_chunks = len(touched)
 
-        # 1. Stale caches out: the miner's own memo is the only live one.
+        # 1. Stale caches out: the miner's own memos are the only live ones.
         stats.memo_evicted = invalidate_memo(miner.coverage_memo, touched)
+        stats.pattern_memo_evicted = invalidate_memo(
+            miner.pattern_memo, touched
+        )
 
         # 2. Null model: degree structure changed → rebuild and re-derive
         #    the Theorem-5 expectation used for extendability flips.
@@ -545,8 +553,8 @@ class IncrementalSCPM:
         Returns the per-position record lists aligned with ``positions``.
         Sequential when ``n_jobs == 1`` (sharing the live coverage memo,
         exactly like ``SCPM._extend``); otherwise one ``"roots"`` task
-        per position through the work-stealing scheduler with a
-        post-invalidation memo snapshot — the keyed merge reproduces the
+        per position through the work-stealing scheduler with
+        post-invalidation memo snapshots — the keyed merge reproduces the
         sequential record order for any worker count.
         """
         if not positions:
@@ -564,19 +572,10 @@ class IncrementalSCPM:
                 miner._extend_branch(candidates, position, branch)
                 out.append(branch.evaluated)
             return out
-        payload = _BranchPayload(
-            graph=self.graph,
-            params=params,
-            null_model=miner.null_model,
-            collect_patterns=miner.collect_patterns,
-            candidate_states=[_candidate_state(c) for c in candidates],
-            memo_snapshot=(
-                miner.coverage_memo.snapshot()
-                if miner.coverage_memo is not None
-                else None
-            ),
-        )
-        merged: Dict[int, Tuple[List[AttributeSetResult], MiningCounters]] = {}
+        payload = miner._branch_payload(candidates)
+        merged: Dict[
+            int, Tuple[List[AttributeSetResult], MiningCounters, _MemoLayers]
+        ] = {}
         with WorkStealingScheduler(
             payload,
             _branch_task,
@@ -592,11 +591,12 @@ class IncrementalSCPM:
                     weight=len(candidates[position].tidset),
                 )
             for _, value in scheduler.drain():
-                for root, records, task_counters in value:
-                    merged[root] = (records, task_counters)
+                for root, records, task_counters, layers in value:
+                    merged[root] = (records, task_counters, layers)
         out = []
         for position in positions:
-            records, task_counters = merged[position]
+            records, task_counters, layers = merged[position]
+            miner._adopt_memo_layers(layers, task_counters)
             _accumulate_counters(counters, task_counters)
             out.append(records)
         return out

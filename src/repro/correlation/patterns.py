@@ -89,16 +89,23 @@ class AttributeSetResult:
 class MiningCounters:
     """Work counters collected during a mining run (used by Figure 8).
 
-    ``coverage_memo_hits``/``coverage_memo_misses`` count the
-    :class:`~repro.quasiclique.memo.CoverageMemo` consultations of the
-    run and ``kernel_counter_updates`` the incremental-kernel bookkeeping
-    (:mod:`repro.quasiclique.kernel`).  Unlike the other counters these
-    are *instrumentation*, not algorithm output: memo hit totals depend
-    on how the run was partitioned into tasks (sequential runs share one
-    memo across the whole lattice; parallel workers see the fan-out
-    snapshot plus task-local entries), so they may legitimately differ
-    between ``n_jobs``/schedule configurations while the mined records
-    stay byte-identical.
+    ``coverage_nodes_expanded``/``pattern_nodes_expanded`` sum the
+    search-tree nodes the coverage and top-k searches expanded.  A memo
+    hit adds nothing, and a search that two parallel tasks both ran is
+    counted once (see :meth:`~repro.quasiclique.memo.CoverageMemo.adopt`),
+    so the totals are the same for every ``n_jobs``/schedule.
+    ``coverage_memo_hits``/``coverage_memo_misses`` and
+    ``pattern_memo_hits``/``pattern_memo_misses`` count the
+    consultations of SCPM's two
+    :class:`~repro.quasiclique.memo.CoverageMemo` instances (coverage
+    and top-k) and ``kernel_counter_updates`` the incremental-kernel
+    bookkeeping (:mod:`repro.quasiclique.kernel`).  Unlike the other
+    counters these are *instrumentation*, not algorithm output: memo
+    hit totals depend on how the run was partitioned into tasks
+    (sequential runs share one memo across the whole lattice; parallel
+    workers see the fan-out snapshot plus task-local entries), so they
+    may legitimately differ between ``n_jobs``/schedule configurations
+    while the mined records stay byte-identical.
 
     ``kernel_backends`` tallies kernel-driven coverage searches per
     counter-lane backend, keyed by label (``"bigint"``,
@@ -114,6 +121,8 @@ class MiningCounters:
     pattern_nodes_expanded: int = 0
     coverage_memo_hits: int = 0
     coverage_memo_misses: int = 0
+    pattern_memo_hits: int = 0
+    pattern_memo_misses: int = 0
     kernel_counter_updates: int = 0
     kernel_backends: Dict[str, int] = field(default_factory=dict)
     elapsed_seconds: float = 0.0

@@ -16,6 +16,12 @@ quasi-clique search.  Three ideas distinguish it from the naive baseline:
   k largest/densest patterns are extracted, with the dynamically raised size
   threshold.
 
+Theorem 3 also makes sibling attribute sets collide on the same working
+vertex set, so both searches are memoized lattice-wide: ``coverage_memo``
+holds covered sets and ``pattern_memo`` top-k results (two
+:class:`~repro.quasiclique.memo.CoverageMemo` instances, both switched by
+``SCPMParams.coverage_memo``).
+
 The enumeration state lives on the bitset vertex-set engine
 (:mod:`repro.graph.vertexset`): tidsets and covered sets are
 :class:`~repro.graph.vertexset.VertexBitset` masks, so the Eclat join and the
@@ -166,6 +172,11 @@ class SCPM:
         #: run; parallel runs snapshot it at fan-out time into the worker
         #: payload (see :class:`_BranchPayload`).
         self.coverage_memo: Optional[CoverageMemo] = (
+            CoverageMemo() if params.coverage_memo else None
+        )
+        #: The same for top-k results, keyed on (working set, γ,
+        #: min_size, k, order) — see :func:`top_k_patterns`.
+        self.pattern_memo: Optional[CoverageMemo] = (
             CoverageMemo() if params.coverage_memo else None
         )
         #: Introspection of the last parallel run (None after sequential
@@ -322,23 +333,12 @@ class SCPM:
         if jobs <= 1:
             self._extend(candidates, result)
             return
-        payload = _BranchPayload(
-            graph=self.graph,
-            params=params,
-            null_model=self.null_model,
-            collect_patterns=self.collect_patterns,
-            candidate_states=[_candidate_state(c) for c in candidates],
-            # Everything the first-level evaluations learned travels once
-            # per worker as a read-only snapshot; workers keep their own
-            # additions task-local (see _branch_task).
-            memo_snapshot=(
-                self.coverage_memo.snapshot()
-                if self.coverage_memo is not None
-                else None
-            ),
-        )
+        payload = self._branch_payload(candidates)
         weights = [len(candidate.tidset) for candidate in candidates]
-        merged: Dict[Tuple[int, int, int], Tuple[List[AttributeSetResult], MiningCounters]] = {}
+        merged: Dict[
+            Tuple[int, int, int],
+            Tuple[List[AttributeSetResult], MiningCounters, _MemoLayers],
+        ] = {}
         phase_started = time.perf_counter()
         with WorkStealingScheduler(
             payload,
@@ -362,16 +362,16 @@ class SCPM:
                             weight=sum(weights[root] for root in stripe),
                         )
                 for value in scheduler.run().values():
-                    for root, records, counters in value:
-                        merged[(root, 0, 0)] = (records, counters)
+                    for root, records, counters, layers in value:
+                        merged[(root, 0, 0)] = (records, counters, layers)
             elif params.fanout_depth == 1:
                 for root in range(len(candidates)):
                     scheduler.submit(
                         (root, 0, 0), "roots", (root,), weight=weights[root]
                     )
                 for _, value in scheduler.drain():
-                    for root, records, counters in value:
-                        merged[(root, 0, 0)] = (records, counters)
+                    for root, records, counters, layers in value:
+                        merged[(root, 0, 0)] = (records, counters, layers)
             else:
                 for root in range(len(candidates)):
                     scheduler.submit(
@@ -380,8 +380,8 @@ class SCPM:
                 for key, value in scheduler.drain():
                     root, phase, position = key
                     if phase == 0:
-                        records, extension_states, counters = value
-                        merged[key] = (records, counters)
+                        records, extension_states, counters, layers = value
+                        merged[key] = (records, counters, layers)
                         for sub in range(len(extension_states)):
                             # Ship only the suffix the subtree joins
                             # against: branch `sub` never reads its
@@ -394,13 +394,13 @@ class SCPM:
                                 weight=extension_states[sub].tidset.bit_count(),
                             )
                     else:
-                        records, counters = value
-                        merged[key] = (records, counters)
+                        merged[key] = value
             self.last_scheduler_stats = scheduler.stats
             self.last_task_durations = dict(scheduler.task_durations)
         self.last_parallel_seconds = time.perf_counter() - phase_started
         for key in sorted(merged):
-            records, counters = merged[key]
+            records, counters, layers = merged[key]
+            self._adopt_memo_layers(layers, counters)
             result.evaluated.extend(records)
             _accumulate_counters(result.counters, counters)
 
@@ -448,6 +448,8 @@ class SCPM:
                     candidate_vertices=covered,
                     engine=params.engine,
                     kernel_backend=params.kernel_backend,
+                    memo=self.pattern_memo,
+                    counters=counters,
                 )
             )
 
@@ -471,6 +473,51 @@ class SCPM:
         counters.attribute_sets_pruned += 1
         return None
 
+    def _branch_payload(self, candidates: Sequence[_Candidate]) -> "_BranchPayload":
+        """The per-worker payload for fanning ``candidates`` out.
+
+        Everything both memos learned so far travels once per worker as
+        read-only snapshots; workers keep their own additions task-local
+        (see :func:`_branch_task`).
+        """
+        return _BranchPayload(
+            graph=self.graph,
+            params=self.params,
+            null_model=self.null_model,
+            collect_patterns=self.collect_patterns,
+            candidate_states=[_candidate_state(c) for c in candidates],
+            memo_snapshot=_snapshot(self.coverage_memo),
+            pattern_memo_snapshot=_snapshot(self.pattern_memo),
+        )
+
+    def _reset_local_memos(self) -> None:
+        """Drop both memos' task-local layers (see :func:`_branch_task`)."""
+        for memo in (self.coverage_memo, self.pattern_memo):
+            if memo is not None:
+                memo.reset_local()
+
+    def _local_memo_layers(self) -> "_MemoLayers":
+        """Both memos' task-local layers, for the parent to adopt."""
+        return tuple(
+            memo.local_layer() if memo is not None else None
+            for memo in (self.coverage_memo, self.pattern_memo)
+        )
+
+    def _adopt_memo_layers(
+        self, layers: "_MemoLayers", counters: MiningCounters
+    ) -> None:
+        """Fold one task's memo layers into this miner's memos.
+
+        Searches the task repeated — their keys were already known here —
+        come off its expanded-node counters, so a parallel run reports
+        the nodes of each distinct search once, as a sequential run does.
+        """
+        coverage, pattern = layers
+        if coverage is not None:
+            counters.coverage_nodes_expanded -= self.coverage_memo.adopt(*coverage)
+        if pattern is not None:
+            counters.pattern_nodes_expanded -= self.pattern_memo.adopt(*pattern)
+
     def _may_extend(self, epsilon: float, support: int) -> bool:
         """Theorems 4 and 5: can any superset still reach the thresholds?"""
         params = self.params
@@ -481,6 +528,11 @@ class SCPM:
         if mass < params.min_delta * expected_at_min * params.min_support:
             return False
         return True
+
+
+def _snapshot(memo: Optional[CoverageMemo]) -> Optional[dict]:
+    """``memo.snapshot()``, or ``None`` when the memo is off."""
+    return memo.snapshot() if memo is not None else None
 
 
 def _accumulate_counters(target: MiningCounters, source: MiningCounters) -> None:
@@ -495,6 +547,12 @@ def _accumulate_counters(target: MiningCounters, source: MiningCounters) -> None
                 )
             continue
         setattr(target, field.name, getattr(target, field.name) + getattr(source, field.name))
+
+
+#: A task's (coverage, pattern) memo local layers — each an
+#: ``(entries, nodes)`` pair from :meth:`CoverageMemo.local_layer`, or
+#: ``None`` when that memo is off.
+_MemoLayers = Tuple[Optional[Tuple[dict, dict]], Optional[Tuple[dict, dict]]]
 
 
 @dataclass(frozen=True)
@@ -548,6 +606,7 @@ class _BranchPayload:
         collect_patterns: bool,
         candidate_states: List[_CandidateState],
         memo_snapshot: Optional[dict] = None,
+        pattern_memo_snapshot: Optional[dict] = None,
     ) -> None:
         self.graph = graph
         self.params = params
@@ -555,6 +614,7 @@ class _BranchPayload:
         self.collect_patterns = collect_patterns
         self.candidate_states = candidate_states
         self.memo_snapshot = memo_snapshot
+        self.pattern_memo_snapshot = pattern_memo_snapshot
         self._context: Optional[Tuple[SCPM, List[_Candidate], Any]] = None
 
     def context(self) -> Tuple[SCPM, List[_Candidate], Any]:
@@ -566,13 +626,17 @@ class _BranchPayload:
                 null_model=self.null_model,
                 collect_patterns=self.collect_patterns,
             )
+            # The shared layers are the fan-out snapshots; the local
+            # layers are reset at every task boundary so each task's
+            # results (hit counts included) are a pure function of
+            # (payload, task args) — the scheduler's determinism
+            # contract.
             if self.memo_snapshot is not None:
-                # The shared layer is the fan-out snapshot; the local
-                # layer is reset at every task boundary so each task's
-                # results (hit counts included) are a pure function of
-                # (payload, task args) — the scheduler's determinism
-                # contract.
                 miner.coverage_memo = CoverageMemo(shared=self.memo_snapshot)
+            if self.pattern_memo_snapshot is not None:
+                miner.pattern_memo = CoverageMemo(
+                    shared=self.pattern_memo_snapshot
+                )
             index = self.graph.bitset_index(self.params.engine)
             candidates = [
                 _bind_candidate(state, index) for state in self.candidate_states
@@ -588,6 +652,7 @@ class _BranchPayload:
             self.collect_patterns,
             self.candidate_states,
             self.memo_snapshot,
+            self.pattern_memo_snapshot,
         )
 
     def __setstate__(self, state) -> None:
@@ -598,6 +663,7 @@ class _BranchPayload:
             self.collect_patterns,
             self.candidate_states,
             self.memo_snapshot,
+            self.pattern_memo_snapshot,
         ) = state
         self._context = None
 
@@ -610,44 +676,45 @@ def _branch_task(payload: _BranchPayload, kind: str, *args):
     joins and returns the surviving extensions as transfer states, and
     ``"subtree"`` mines one second-level prefix class.  Every kind is a
     pure function of ``(payload, args)``, which is what makes the merged
-    output independent of scheduling order.
+    output independent of scheduling order.  Each output ends with the
+    counters and the memo layers the parent adopts
+    (:meth:`SCPM._adopt_memo_layers`).
     """
     miner, candidates, index = payload.context()
     algorithm = f"scpm-{payload.params.order}"
-    memo = miner.coverage_memo
     if kind == "roots":
         (roots,) = args
-        output: List[Tuple[int, List[AttributeSetResult], MiningCounters]] = []
+        output: List[Tuple[int, List[AttributeSetResult], MiningCounters, _MemoLayers]] = []
         for root in roots:
-            if memo is not None:
-                # per-root scoping: a root's counters must not depend on
-                # which other roots happened to share this worker/batch
-                memo.reset_local()
+            # per-root scoping: a root's counters must not depend on
+            # which other roots happened to share this worker/batch
+            miner._reset_local_memos()
             branch = MiningResult(algorithm=algorithm, counters=MiningCounters())
             miner._extend_branch(candidates, root, branch)
-            output.append((root, branch.evaluated, branch.counters))
+            output.append(
+                (root, branch.evaluated, branch.counters, miner._local_memo_layers())
+            )
         return output
     if kind == "level":
         (root,) = args
-        if memo is not None:
-            memo.reset_local()
+        miner._reset_local_memos()
         branch = MiningResult(algorithm=algorithm, counters=MiningCounters())
         extensions = miner._evaluate_level(candidates, root, branch)
         return (
             branch.evaluated,
             [_candidate_state(extension) for extension in extensions],
             branch.counters,
+            miner._local_memo_layers(),
         )
     if kind == "subtree":
         (extension_states,) = args
-        if memo is not None:
-            memo.reset_local()
+        miner._reset_local_memos()
         # The states are the suffix of the prefix class starting at this
         # subtree's own branch, so the branch to explore is position 0.
         extensions = [_bind_candidate(state, index) for state in extension_states]
         branch = MiningResult(algorithm=algorithm, counters=MiningCounters())
         miner._extend_branch(extensions, 0, branch)
-        return (branch.evaluated, branch.counters)
+        return (branch.evaluated, branch.counters, miner._local_memo_layers())
     raise ParallelError(f"unknown branch task kind {kind!r}")
 
 

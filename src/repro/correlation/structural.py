@@ -56,7 +56,8 @@ def structural_correlation_bitset(
     covered set is a pure function of ``(working set, γ, min_size)``, so
     a hit returns byte-identical output without constructing a search.
     ``counters`` (a :class:`~repro.correlation.patterns.MiningCounters`)
-    receives the memo hit/miss and kernel instrumentation, including a
+    receives the memo hit/miss, expanded-node and kernel
+    instrumentation, including a
     per-backend tally of kernel-driven coverage searches keyed by
     ``"bigint"`` / ``"numpy(uint8)"`` / ``"numpy(uint16)"`` labels;
     ``kernel_backend`` selects the counter-lane backend (see
@@ -88,6 +89,7 @@ def structural_correlation_bitset(
         else:
             if memo is not None:
                 counters.coverage_memo_misses += 1
+            counters.coverage_nodes_expanded += search.stats.nodes_expanded
             counters.kernel_counter_updates += search.stats.counter_updates
             label = search.stats.kernel_backend_label()
             if label:
@@ -132,7 +134,7 @@ def covered_native(
     covered = search.covered_to_global(search.covered_mask(), index)
     if memo is not None:
         search.stats.memo_misses += 1
-        memo.put(key, covered)
+        memo.put(key, covered, search.stats.nodes_expanded)
     return covered, search
 
 
@@ -227,11 +229,22 @@ def top_k_patterns(
     candidate_vertices: VertexRestriction = None,
     engine: str = "auto",
     kernel_backend: str = "auto",
+    memo: Optional[CoverageMemo] = None,
+    counters=None,
 ) -> List[StructuralCorrelationPattern]:
     """Return the top-``k`` structural correlation patterns induced by ``S``.
 
     Patterns are ranked by size (primary) then density (secondary), exactly
     as in Section 3.2.3 of the paper.
+
+    ``memo`` optionally short-circuits the search through a
+    :class:`~repro.quasiclique.memo.CoverageMemo` keyed on
+    ``(working set, γ, min_size, k, order)`` — the arguments
+    :meth:`~repro.quasiclique.search.QuasiCliqueSearch.top_k` is a pure
+    function of — holding the search's ``((vertices, γ), …)`` tuple, so
+    Theorem-3 siblings with equal working sets share one search.
+    ``counters`` receives the pattern-memo hit/miss and expanded-node
+    counts.
     """
     canonical = canonical_itemset(attributes)
     index = graph.bitset_index(engine)
@@ -243,19 +256,33 @@ def top_k_patterns(
         if candidate_vertices is None
         else index.working_mask(candidate_vertices) & members
     )
-    search = QuasiCliqueSearch(
-        graph,
-        params,
-        vertices=index.bitset(working),
-        order=order,
-        engine=engine,
-        kernel_backend=kernel_backend,
-    )
+    ranked = None
+    if memo is not None:
+        key = memo.key(working, params.gamma, params.min_size, k, order)
+        ranked = memo.get(key)
+    if ranked is None:
+        search = QuasiCliqueSearch(
+            graph,
+            params,
+            vertices=index.bitset(working),
+            order=order,
+            engine=engine,
+            kernel_backend=kernel_backend,
+        )
+        ranked = tuple(search.top_k(k))
+        if memo is not None:
+            memo.put(key, ranked, search.stats.nodes_expanded)
+        if counters is not None:
+            if memo is not None:
+                counters.pattern_memo_misses += 1
+            counters.pattern_nodes_expanded += search.stats.nodes_expanded
+    elif counters is not None:
+        counters.pattern_memo_hits += 1
     return [
         StructuralCorrelationPattern(
             attributes=canonical, vertices=vertex_set, gamma=gamma
         )
-        for vertex_set, gamma in search.top_k(k)
+        for vertex_set, gamma in ranked
     ]
 
 

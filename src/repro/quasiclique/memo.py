@@ -23,6 +23,13 @@ function of the key (the covered set of a vertex-restricted search does
 not depend on traversal order), so a hit returns byte-identical output
 to running the search — the memo-on/off differential suite enforces it.
 
+SCPM keeps a second instance of the class, its *pattern memo*, for the
+top-k stage (:func:`repro.correlation.structural.top_k_patterns`).  Its
+keys append ``k`` and the traversal order to the coverage key, and its
+values are the ``((vertices, γ), …)`` tuples
+:meth:`~repro.quasiclique.search.QuasiCliqueSearch.top_k` returns —
+vertex labels, so they too cross process boundaries unchanged.
+
 Two layers keep parallel runs deterministic:
 
 * ``shared`` — a read-only snapshot, typically taken with
@@ -34,6 +41,14 @@ Two layers keep parallel runs deterministic:
   keyed-merge protocol then folds the per-task hit/miss counts back
   deterministically, independent of stealing order.
 
+The parent then adopts every task's local layer (:meth:`adopt`), so after a
+parallel run its memo holds exactly the entries a sequential run's
+would.  Each local entry remembers how many search-tree nodes its search
+expanded; :meth:`adopt` returns the nodes of entries it already had —
+searches two tasks repeated because neither could see the other's
+layer — and the caller takes them off its expanded-node counters.  The
+node counts of a run are then the same for every task partitioning.
+
 ``hits``/``misses`` count lookups on this instance; mining-level totals
 are accumulated into
 :class:`~repro.correlation.patterns.MiningCounters` by the callers.
@@ -43,7 +58,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Hashable, Optional, Tuple
 
-MemoKey = Tuple[Hashable, float, int]
+MemoKey = Tuple[Hashable, ...]
 
 
 class CoverageMemo:
@@ -70,27 +85,34 @@ class CoverageMemo:
     (1, 1)
     """
 
-    __slots__ = ("_shared", "_local", "hits", "misses")
+    __slots__ = ("_shared", "_local", "_local_nodes", "hits", "misses")
 
     def __init__(self, shared: Optional[Dict[MemoKey, Any]] = None) -> None:
         self._shared: Dict[MemoKey, Any] = shared if shared is not None else {}
         self._local: Dict[MemoKey, Any] = {}
+        self._local_nodes: Dict[MemoKey, int] = {}
         self.hits = 0
         self.misses = 0
 
     @staticmethod
-    def key(working_native: Hashable, gamma: float, min_size: int) -> MemoKey:
-        """Build the cache key for one coverage search.
+    def key(
+        working_native: Hashable, gamma: float, min_size: int, *mode: Hashable
+    ) -> MemoKey:
+        """Build the cache key for one search.
 
         ``working_native`` is the engine-native working set — hashable
         and equality-exact for both engines, so the key never aliases
         two different searches.  γ and ``min_size`` pin the quasi-clique
-        definition the covered set answers for.
+        definition the cached result answers for; ``mode`` appends
+        whatever else the result depends on (the pattern memo adds
+        ``k`` and the traversal order).  The working set always comes
+        first — :func:`repro.quasiclique.delta.invalidate_memo` reads it
+        from ``key[0]``.
         """
-        return (working_native, gamma, min_size)
+        return (working_native, gamma, min_size, *mode)
 
     def get(self, key: MemoKey) -> Any:
-        """Return the cached covered native, or ``None`` (counted)."""
+        """Return the cached result, or ``None`` (counted)."""
         value = self._local.get(key)
         if value is None:
             value = self._shared.get(key)
@@ -100,9 +122,39 @@ class CoverageMemo:
         self.hits += 1
         return value
 
-    def put(self, key: MemoKey, covered_native: Any) -> None:
-        """Store a computed covered set in the local layer."""
-        self._local[key] = covered_native
+    def put(self, key: MemoKey, value: Any, nodes: int = 0) -> None:
+        """Store a computed result in the local layer.
+
+        ``nodes`` is the number of search-tree nodes the search that
+        computed it expanded (see :meth:`adopt`).
+        """
+        self._local[key] = value
+        self._local_nodes[key] = nodes
+
+    def local_layer(self) -> Tuple[Dict[MemoKey, Any], Dict[MemoKey, int]]:
+        """Copies of the local layer's entries and their node counts.
+
+        What a parallel task hands back for its parent to :meth:`adopt`.
+        """
+        return dict(self._local), dict(self._local_nodes)
+
+    def adopt(
+        self, entries: Dict[MemoKey, Any], nodes: Dict[MemoKey, int]
+    ) -> int:
+        """Merge another memo's :meth:`local_layer` into the local layer.
+
+        Returns the summed node counts of the entries this memo already
+        held: the work of searches that were repeated.  Results are pure
+        functions of their keys, so a known entry is kept as it is.
+        """
+        repeated = 0
+        for key, value in entries.items():
+            if key in self._local or key in self._shared:
+                repeated += nodes[key]
+            else:
+                self._local[key] = value
+                self._local_nodes[key] = nodes[key]
+        return repeated
 
     def snapshot(self) -> Dict[MemoKey, Any]:
         """One read-only dict of everything known — shared layer included.
@@ -132,6 +184,7 @@ class CoverageMemo:
             doomed = [key for key in layer if predicate(key)]
             for key in doomed:
                 del layer[key]
+                self._local_nodes.pop(key, None)
             removed += len(doomed)
         return removed
 
@@ -142,6 +195,7 @@ class CoverageMemo:
         deltas around each lookup.
         """
         self._local.clear()
+        self._local_nodes.clear()
 
     def __len__(self) -> int:
         return len(self._shared) + len(self._local)

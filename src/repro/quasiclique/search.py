@@ -360,6 +360,13 @@ class QuasiCliqueSearch:
         ranked 2..k may occasionally be larger than the true k-th maximal
         pattern would allow smaller ones to appear; in practice this only
         shows up on adversarial tiny graphs (see the property tests).
+
+        Inexact or not, the result is a pure function of ``(working set,
+        γ, min_size, k, order)``: the search reads only the subgraph
+        induced by its working set, and the traversal is deterministic
+        for a given order (the engine and kernel backend change neither
+        the result nor the expanded nodes).  SCPM's pattern memo keys on
+        exactly that tuple (:func:`repro.correlation.structural.top_k_patterns`).
         """
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k}")

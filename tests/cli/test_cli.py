@@ -6,6 +6,8 @@ malformed filter values), ``2`` argparse usage errors (unknown flags,
 missing/conflicting lookup modes) — argparse raises ``SystemExit``.
 """
 
+import re
+
 import pytest
 
 from repro.cli.main import build_parser, main
@@ -77,6 +79,36 @@ class TestMainMine:
         assert "kernel: counter_updates=" in output
         assert "coverage memo: hits=" in output
 
+    def test_mine_verbose_prints_search_nodes_and_pattern_memo(
+        self, graph_files, capsys
+    ):
+        edges, attrs = graph_files
+        code = main(
+            [
+                "mine",
+                "--edges", edges,
+                "--attributes", attrs,
+                "--min-support", "3",
+                "--gamma", "0.6",
+                "--min-size", "4",
+                "--min-epsilon", "0.5",
+                "--verbose",
+            ]
+        )
+        assert code == 0
+        output = capsys.readouterr().out
+        match = re.search(
+            r"^search nodes: coverage=(\d+) patterns=(\d+)  "
+            r"pattern memo: hits=(\d+) misses=(\d+)$",
+            output,
+            re.MULTILINE,
+        )
+        assert match is not None, output
+        coverage, patterns, hits, misses = map(int, match.groups())
+        # the paper example qualifies A, B and A B: both stages search
+        assert coverage > 0 and patterns > 0
+        assert hits + misses == 3
+
     def test_mine_streaming_matches_in_memory(self, graph_files, capsys):
         """--streaming swaps the loader without changing a byte of output."""
         edges, attrs = graph_files
@@ -139,9 +171,10 @@ class TestMainMine:
             outputs[backend] = capsys.readouterr().out
         assert "backends[searches]: bigint=" in outputs["bigint"]
         assert "backends[searches]: numpy(uint8)=" in outputs["numpy"]
-        # everything except the backend attribution line is identical
+        # everything except the backend attribution line and the wall
+        # time of the "evaluated N attribute sets in …s" line is identical
         strip = lambda text: [
-            line for line in text.splitlines()
+            re.sub(r" in \d+\.\d+s$", "", line) for line in text.splitlines()
             if not line.startswith("kernel: counter_updates=")
         ]
         assert strip(outputs["numpy"]) == strip(outputs["bigint"])
