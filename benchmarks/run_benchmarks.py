@@ -34,8 +34,6 @@ from repro.correlation.structural import structural_correlation
 from repro.datasets.synthetic import CommunitySpec, SyntheticSpec, generate
 from repro.itemsets.eclat import EclatConfig, EclatMiner
 from repro.quasiclique.definitions import QuasiCliqueParams
-from repro.quasiclique.kernel import numpy_available
-from repro.quasiclique.search import QuasiCliqueSearch
 from repro.serve import PatternStoreReader
 from repro.store import PatternStore
 
@@ -73,7 +71,7 @@ def timed(operation) -> float:
 
 
 def entry(op, graph, seconds, engine="auto", n_jobs=1, schedule=None, **extra):
-    """One grid row; ``extra`` carries op-specific counters (memo, kernel)."""
+    """One grid row; ``extra`` carries op-specific counters (memo)."""
     row = {
         "op": op,
         "num_vertices": graph.num_vertices,
@@ -110,57 +108,6 @@ def run_grid(scale: float, jobs_grid, engines, schedules):
         )
         entries.append(entry("quasiclique_coverage", graph, seconds, engine=engine))
 
-    # Incremental-counter kernel vs the from-scratch oracle on the same
-    # whole-graph coverage search (the kernel-op trajectory; the ≥2×
-    # acceptance bar lives in bench_search_kernel.py's harder workload).
-    for use_kernel, op in ((False, "coverage_kernel_oracle"), (True, "coverage_kernel_incremental")):
-        # engine pinned so the recorded label stays true at any --scale
-        search = QuasiCliqueSearch(
-            graph, qc, engine="dense", use_incremental_kernel=use_kernel
-        )
-        seconds = timed(search.covered_mask)
-        entries.append(
-            entry(
-                op,
-                graph,
-                seconds,
-                engine="dense",
-                nodes_expanded=search.stats.nodes_expanded,
-                counter_updates=search.stats.counter_updates,
-            )
-        )
-
-    # Counter-lane backend rows: the same dense coverage search once per
-    # kernel backend, each row labelled with the resolved backend/dtype
-    # (``bigint`` / ``numpy(uint8)`` / ``numpy(uint16)``) so the
-    # trajectory attributes kernel perf moves to the lane representation.
-    # The ≥3× acceptance bar lives in bench_numpy_kernel.py's wide
-    # workload; this graph is deliberately the small trajectory one.
-    for backend in ("bigint", "numpy"):
-        if backend == "numpy" and not numpy_available():
-            continue
-        # kernel forced: the γ=0.6 auto rule would keep the oracle on this
-        # small graph and leave the backend label empty
-        search = QuasiCliqueSearch(
-            graph,
-            qc,
-            engine="dense",
-            use_incremental_kernel=True,
-            kernel_backend=backend,
-        )
-        seconds = timed(search.covered_mask)
-        entries.append(
-            entry(
-                "coverage_kernel_backend",
-                graph,
-                seconds,
-                engine="dense",
-                kernel_backend=search.stats.kernel_backend_label(),
-                nodes_expanded=search.stats.nodes_expanded,
-                counter_updates=search.stats.counter_updates,
-            )
-        )
-
     for engine in engines:
         for n_jobs in jobs_grid:
             for schedule in schedules if n_jobs > 1 else (schedules[0],):
@@ -191,8 +138,6 @@ def run_grid(scale: float, jobs_grid, engines, schedules):
                         schedule=schedule,
                         memo_hits=counters.coverage_memo_hits,
                         memo_misses=counters.coverage_memo_misses,
-                        kernel_counter_updates=counters.kernel_counter_updates,
-                        kernel_backends=dict(counters.kernel_backends),
                     )
                 )
 

@@ -12,7 +12,7 @@ Three levels of result are produced by the miners:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
+from typing import FrozenSet, Hashable, Iterable, List, Optional, Tuple
 
 Attribute = Hashable
 Vertex = Hashable
@@ -98,19 +98,13 @@ class MiningCounters:
     ``pattern_memo_hits``/``pattern_memo_misses`` count the
     consultations of SCPM's two
     :class:`~repro.quasiclique.memo.CoverageMemo` instances (coverage
-    and top-k) and ``kernel_counter_updates`` the incremental-kernel
-    bookkeeping (:mod:`repro.quasiclique.kernel`).  Unlike the other
-    counters these are *instrumentation*, not algorithm output: memo
+    and top-k).  Unlike the other counters these are
+    *instrumentation*, not algorithm output: memo
     hit totals depend on how the run was partitioned into tasks
     (sequential runs share one memo across the whole lattice; parallel
     workers see the fan-out snapshot plus task-local entries), so they
     may legitimately differ between ``n_jobs``/schedule configurations
     while the mined records stay byte-identical.
-
-    ``kernel_backends`` tallies kernel-driven coverage searches per
-    counter-lane backend, keyed by label (``"bigint"``,
-    ``"numpy(uint8)"``, ``"numpy(uint16)"``) — the attribution the CLI's
-    ``--verbose`` counters and the benchmark rows report.
     """
 
     attribute_sets_evaluated: int = 0
@@ -123,8 +117,6 @@ class MiningCounters:
     coverage_memo_misses: int = 0
     pattern_memo_hits: int = 0
     pattern_memo_misses: int = 0
-    kernel_counter_updates: int = 0
-    kernel_backends: Dict[str, int] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
 
     # ------------------------------------------------------------------
@@ -132,9 +124,7 @@ class MiningCounters:
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """Plain field dict — JSON-safe, loses nothing."""
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data["kernel_backends"] = dict(self.kernel_backends)
-        return data
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "MiningCounters":
@@ -144,10 +134,7 @@ class MiningCounters:
         with extra counters still load (the known fields round-trip).
         """
         known = {f.name for f in fields(cls)}
-        payload = {k: v for k, v in data.items() if k in known}
-        if "kernel_backends" in payload:
-            payload["kernel_backends"] = dict(payload["kernel_backends"])
-        return cls(**payload)
+        return cls(**{k: v for k, v in data.items() if k in known})
 
 
 @dataclass

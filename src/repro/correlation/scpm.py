@@ -424,7 +424,6 @@ class SCPM:
             order=params.order,
             candidate_vertices=candidate_vertices,
             engine=params.engine,
-            kernel_backend=params.kernel_backend,
             memo=self.coverage_memo,
             counters=counters,
         )
@@ -447,7 +446,6 @@ class SCPM:
                     order=params.order,
                     candidate_vertices=covered,
                     engine=params.engine,
-                    kernel_backend=params.kernel_backend,
                     memo=self.pattern_memo,
                     counters=counters,
                 )
@@ -539,12 +537,6 @@ def _accumulate_counters(target: MiningCounters, source: MiningCounters) -> None
     """Add every work counter of ``source`` into ``target`` (not the wall time)."""
     for field in fields(MiningCounters):
         if field.name == "elapsed_seconds":
-            continue
-        if field.name == "kernel_backends":
-            for label, count in source.kernel_backends.items():
-                target.kernel_backends[label] = (
-                    target.kernel_backends.get(label, 0) + count
-                )
             continue
         setattr(target, field.name, getattr(target, field.name) + getattr(source, field.name))
 

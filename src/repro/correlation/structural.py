@@ -38,7 +38,6 @@ def structural_correlation_bitset(
     order: str = DFS,
     candidate_vertices: VertexRestriction = None,
     engine: str = "auto",
-    kernel_backend: str = "auto",
     memo: Optional[CoverageMemo] = None,
     counters=None,
 ) -> Tuple[float, VertexBitset]:
@@ -56,12 +55,7 @@ def structural_correlation_bitset(
     covered set is a pure function of ``(working set, γ, min_size)``, so
     a hit returns byte-identical output without constructing a search.
     ``counters`` (a :class:`~repro.correlation.patterns.MiningCounters`)
-    receives the memo hit/miss, expanded-node and kernel
-    instrumentation, including a
-    per-backend tally of kernel-driven coverage searches keyed by
-    ``"bigint"`` / ``"numpy(uint8)"`` / ``"numpy(uint16)"`` labels;
-    ``kernel_backend`` selects the counter-lane backend (see
-    :func:`repro.quasiclique.kernel.resolve_kernel_backend`).
+    receives the memo hit/miss and expanded-node instrumentation.
     """
     index = graph.bitset_index(engine)
     members = index.members_mask(attributes)
@@ -80,7 +74,6 @@ def structural_correlation_bitset(
         working,
         order=order,
         engine=engine,
-        kernel_backend=kernel_backend,
         memo=memo,
     )
     if counters is not None:
@@ -90,12 +83,6 @@ def structural_correlation_bitset(
             if memo is not None:
                 counters.coverage_memo_misses += 1
             counters.coverage_nodes_expanded += search.stats.nodes_expanded
-            counters.kernel_counter_updates += search.stats.counter_updates
-            label = search.stats.kernel_backend_label()
-            if label:
-                counters.kernel_backends[label] = (
-                    counters.kernel_backends.get(label, 0) + 1
-                )
     return covered.bit_count() / members.bit_count(), index.bitset(covered)
 
 
@@ -106,7 +93,6 @@ def covered_native(
     working,
     order: str = DFS,
     engine: str = "auto",
-    kernel_backend: str = "auto",
     memo: Optional[CoverageMemo] = None,
 ):
     """Covered set of one working set as an engine native, memo-aware.
@@ -116,7 +102,7 @@ def covered_native(
     searches both go through it, so the key shape and the covered-native
     representation can never drift apart between them.  Returns
     ``(covered_native, search)`` where ``search`` is ``None`` on a memo
-    hit (callers account hit/miss/kernel statistics off it).
+    hit (callers account hit/miss statistics off it).
     """
     if memo is not None:
         key = memo.key(working, params.gamma, params.min_size)
@@ -129,7 +115,6 @@ def covered_native(
         vertices=index.bitset(working),
         order=order,
         engine=engine,
-        kernel_backend=kernel_backend,
     )
     covered = search.covered_to_global(search.covered_mask(), index)
     if memo is not None:
@@ -196,7 +181,6 @@ def coverage_search(
     order: str = DFS,
     candidate_vertices: VertexRestriction = None,
     engine: str = "auto",
-    kernel_backend: str = "auto",
 ) -> QuasiCliqueSearch:
     """Build (without running) the coverage search object for ``G(S)``.
 
@@ -216,7 +200,6 @@ def coverage_search(
         vertices=index.bitset(working),
         order=order,
         engine=engine,
-        kernel_backend=kernel_backend,
     )
 
 
@@ -228,7 +211,6 @@ def top_k_patterns(
     order: str = DFS,
     candidate_vertices: VertexRestriction = None,
     engine: str = "auto",
-    kernel_backend: str = "auto",
     memo: Optional[CoverageMemo] = None,
     counters=None,
 ) -> List[StructuralCorrelationPattern]:
@@ -267,7 +249,6 @@ def top_k_patterns(
             vertices=index.bitset(working),
             order=order,
             engine=engine,
-            kernel_backend=kernel_backend,
         )
         ranked = tuple(search.top_k(k))
         if memo is not None:

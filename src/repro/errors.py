@@ -67,31 +67,6 @@ class EngineError(ParameterError):
     """Raised when an unknown vertex-set engine name is requested."""
 
 
-class KernelCapacityError(ParameterError):
-    """Raised when a working set exceeds a search-kernel backend's capacity.
-
-    Every kernel backend bounds the local id space of one search: the
-    big-int SWAR kernel by its 16-bit counter lanes
-    (:data:`repro.quasiclique.kernel.KERNEL_MAX_VERTICES`), the numpy
-    backend by the dtype its counter array uses (``uint8`` up to
-    :data:`repro.quasiclique.kernel.NUMPY_UINT8_MAX_VERTICES` vertices,
-    ``uint16`` up to the same 32767-vertex lane bound).  Forcing a kernel
-    onto a larger working set raises this instead of silently falling back
-    to the oracle loop; automatic selection still falls back cleanly.
-    The offending size and the limit are carried as attributes.
-    """
-
-    def __init__(self, working_set_size: int, limit: int, backend: str) -> None:
-        super().__init__(
-            f"the {backend} search kernel supports at most {limit} working "
-            f"vertices, got {working_set_size} (per-dtype numpy limits: "
-            f"uint8 lanes up to 127 vertices, uint16 lanes up to 32767)"
-        )
-        self.working_set_size = working_set_size
-        self.limit = limit
-        self.backend = backend
-
-
 class DeltaError(ReproError):
     """Raised when the incremental mining layer is misused.
 

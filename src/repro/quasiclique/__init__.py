@@ -13,7 +13,6 @@ from repro.quasiclique.definitions import (
     restricted_adjacency,
     satisfies_degree_condition,
 )
-from repro.quasiclique.kernel import SearchKernel
 from repro.quasiclique.memo import CoverageMemo
 from repro.quasiclique.pruning import (
     DistanceIndex,
@@ -47,7 +46,6 @@ __all__ = [
     "QuasiCliqueParams",
     "QuasiCliqueSearch",
     "SearchBudgetExceeded",
-    "SearchKernel",
     "SearchStats",
     "brute_force_covered_vertices",
     "brute_force_maximal_quasi_cliques",

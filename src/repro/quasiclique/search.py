@@ -58,12 +58,6 @@ from repro.quasiclique.definitions import (
     gamma_of_mask,
     satisfies_degree_condition_mask,
 )
-from repro.quasiclique.kernel import (
-    KERNEL_AUTO_MIN_VERTICES,
-    KERNEL_MAX_VERTICES,
-    make_search_kernel,
-    resolve_kernel_backend,
-)
 from repro.quasiclique.pruning import (
     MaskDistanceIndex,
     prune_low_degree_masks,
@@ -87,14 +81,9 @@ class SearchBudgetExceeded(RuntimeError):
 class SearchStats:
     """Counters describing one quasi-clique search run.
 
-    ``counter_updates`` counts the individual ``indeg_x``/``indeg_ext``
-    increments and decrements the incremental kernel performed (0 when the
-    search runs on the from-scratch oracle).  ``kernel_backend`` /
-    ``kernel_dtype`` name the kernel backend that drove the search (e.g.
-    ``"bigint"``/``"int"`` or ``"numpy"``/``"uint8"``; empty strings when
-    the search ran on the oracle loop).  ``memo_hits``/``memo_misses``
-    describe the :class:`~repro.quasiclique.memo.CoverageMemo` consultation
-    that surrounded this search, when a caller such as
+    ``memo_hits``/``memo_misses`` describe the
+    :class:`~repro.quasiclique.memo.CoverageMemo` consultation that
+    surrounded this search, when a caller such as
     :func:`repro.correlation.structural.structural_correlation_bitset`
     consulted one — a search object only ever exists after a miss, so on a
     search's own stats ``memo_hits`` stays 0 and ``memo_misses`` is at most
@@ -108,25 +97,8 @@ class SearchStats:
     pruned_hopeless: int = 0
     pruned_covered: int = 0
     pruned_by_size: int = 0
-    counter_updates: int = 0
     memo_hits: int = 0
     memo_misses: int = 0
-    kernel_backend: str = ""
-    kernel_dtype: str = ""
-
-    def kernel_backend_label(self) -> str:
-        """Attribution label of the kernel that drove this search.
-
-        ``""`` for oracle-driven searches, ``"bigint"`` for the SWAR
-        kernel, ``"numpy(uint8)"``/``"numpy(uint16)"`` for the vectorised
-        one — the vocabulary of
-        :attr:`repro.correlation.patterns.MiningCounters.kernel_backends`.
-        """
-        if not self.kernel_backend:
-            return ""
-        if self.kernel_dtype in ("", "int"):
-            return self.kernel_backend
-        return f"{self.kernel_backend}({self.kernel_dtype})"
 
 
 @dataclass
@@ -145,6 +117,11 @@ class _Node:
 
 class QuasiCliqueSearch:
     """Quasi-clique search over a graph or a vertex-restricted subgraph.
+
+    All three modes (enumerate, coverage, top-k) run on one
+    set-enumeration loop, :meth:`_run`, over the working set's local-id
+    adjacency masks; DFS and BFS differ only in which end of the frontier
+    is popped.
 
     Parameters
     ----------
@@ -172,34 +149,6 @@ class QuasiCliqueSearch:
         Vertex-set engine of the graph index (``"dense"``, ``"sparse"`` or
         ``"auto"``; see :mod:`repro.graph.engine`).  Either engine yields
         byte-identical results; only memory/speed trade-offs differ.
-    use_incremental_kernel:
-        ``None`` (default) picks automatically: the incremental-counter
-        kernel (:mod:`repro.quasiclique.kernel`) drives DFS searches in
-        the regimes where its lane vectors beat from-scratch masks —
-        every γ < 0.5 search (no usable diameter bound, fat candidate
-        sets) and big-working-set searches
-        (≥ :data:`~repro.quasiclique.kernel.KERNEL_AUTO_MIN_VERTICES`
-        vertices); everything else keeps the historical from-scratch
-        recomputation.  ``True`` forces the kernel (within its
-        :data:`~repro.quasiclique.kernel.KERNEL_MAX_VERTICES` lane
-        capacity), ``False`` forces the oracle — retained as the
-        differential reference the kernel is fuzzed against.  Every
-        choice produces byte-identical results and expansion counts.
-    kernel_backend:
-        Kernel *implementation* once a kernel is engaged: ``"bigint"``
-        (SWAR lanes in one big int), ``"numpy"`` (lanes in a numpy
-        array, bulk vector ops) or ``"auto"`` (default — resolved per
-        search by :func:`repro.quasiclique.kernel.resolve_kernel_backend`:
-        the ``REPRO_KERNEL_BACKEND`` environment override, then a
-        working-set-size heuristic).  Orthogonal to
-        ``use_incremental_kernel``, which decides *whether* a kernel
-        runs at all; every backend produces byte-identical results and
-        statistics.  When a kernel is forced
-        (``use_incremental_kernel=True``) onto a working set beyond the
-        resolved backend's lane capacity, construction raises a typed
-        :class:`~repro.errors.KernelCapacityError` instead of silently
-        falling back; automatic selection still falls back to the
-        oracle loop.
     """
 
     def __init__(
@@ -211,14 +160,9 @@ class QuasiCliqueSearch:
         use_distance_pruning: bool = True,
         node_budget: Optional[int] = None,
         engine: str = "auto",
-        use_incremental_kernel: Optional[bool] = None,
-        kernel_backend: str = "auto",
     ) -> None:
         if order not in _ORDERS:
             raise ParameterError(f"order must be one of {_ORDERS}, got {order!r}")
-        # Validate the backend name (and any environment override) up
-        # front, even for searches that end up on the oracle loop.
-        resolve_kernel_backend(kernel_backend, 0)
         self.params = params
         self.order = order
         self.node_budget = node_budget
@@ -262,38 +206,6 @@ class QuasiCliqueSearch:
             if use_distance_pruning
             else None
         )
-        if use_incremental_kernel is None:
-            # Auto: DFS searches where the kernel's counter vectors beat
-            # the from-scratch masks — the γ < 0.5 regime (no diameter
-            # bound, fat candidate sets) at any size, and big working
-            # sets otherwise.  BFS interleaves siblings of many parents,
-            # keeping every shared counter vector alive at once, so it
-            # stays on the oracle.
-            use_kernel = order == DFS and (
-                params.distance_bound == 0
-                or len(survivors) >= KERNEL_AUTO_MIN_VERTICES
-            )
-        else:
-            use_kernel = use_incremental_kernel
-        # Counter lanes bound every kernel backend's local id space at
-        # KERNEL_MAX_VERTICES.  Under automatic selection, working sets
-        # beyond it (far past anything the dense local masks are built
-        # for) fall back to the from-scratch oracle loop; a *forced*
-        # kernel raises the typed capacity error from the constructor
-        # instead of silently degrading.
-        self._kernel = None
-        if use_kernel and (
-            use_incremental_kernel or len(survivors) <= KERNEL_MAX_VERTICES
-        ):
-            self._kernel = make_search_kernel(
-                self._adjacency,
-                params,
-                self._distance_index,
-                self.stats,
-                backend=kernel_backend,
-            )
-            self.stats.kernel_backend = self._kernel.backend_label
-            self.stats.kernel_dtype = self._kernel.dtype_name
         # Per-mask (size, γ, repr-rank) sort keys the top-k re-sorts reuse —
         # gamma_of_mask and the repr sort are pure functions of the mask.
         self._pattern_keys: Dict[int, Tuple] = {}
@@ -364,8 +276,8 @@ class QuasiCliqueSearch:
         Inexact or not, the result is a pure function of ``(working set,
         γ, min_size, k, order)``: the search reads only the subgraph
         induced by its working set, and the traversal is deterministic
-        for a given order (the engine and kernel backend change neither
-        the result nor the expanded nodes).  SCPM's pattern memo keys on
+        for a given order (the engine changes neither the result nor the
+        expanded nodes).  SCPM's pattern memo keys on
         exactly that tuple (:func:`repro.correlation.structural.top_k_patterns`).
         """
         if k < 1:
@@ -462,111 +374,15 @@ class QuasiCliqueSearch:
         targets: int = 0,
         k: int = 0,
     ) -> None:
-        """Drive the set-enumeration search in the requested ``mode``."""
+        """Drive the set-enumeration search in the requested ``mode``.
+
+        Every node recomputes its pruning state from the adjacency masks:
+        candidate restriction, the cover/size rules, the hopeless-subtree
+        test and the lookahead are each a few ``&`` plus popcounts over
+        the working set's local ids.
+        """
         if not self._universe:
             return
-        if self._kernel is not None:
-            self._run_kernel(mode, emitted, covered, targets, k)
-        else:
-            self._run_oracle(mode, emitted, covered, targets, k)
-
-    def _run_kernel(
-        self,
-        mode: str,
-        emitted: Optional[List[int]],
-        covered: Optional[List[int]],
-        targets: int,
-        k: int,
-    ) -> None:
-        """Set-enumeration loop on the incremental-counter kernel.
-
-        Same traversal, same pruning decisions and same emitted sets as
-        :meth:`_run_oracle` — every rule is evaluated from the node's
-        ``indeg_ext`` lane vector instead of from-scratch mask sweeps
-        (see :mod:`repro.quasiclique.kernel` for the invariants).
-
-        One reordering on top of the counters: the cover and top-k size
-        rules are probed *before* candidate restriction, on the
-        unrestricted union.  Restriction only shrinks the union, so a
-        node failing the early probe provably fails the exact post-
-        restriction check too — the pruned set, the traversal and every
-        statistic stay byte-identical to the oracle, but the ~90 % of
-        coverage nodes that die here never pay for the restriction.
-        """
-        kernel = self._kernel
-        frontier: deque = deque()
-        frontier.append(kernel.root())
-
-        while frontier:
-            node = frontier.popleft() if self.order == BFS else frontier.pop()
-            self.stats.nodes_expanded += 1
-            if self.node_budget is not None and self.stats.nodes_expanded > self.node_budget:
-                raise SearchBudgetExceeded(
-                    f"expanded more than {self.node_budget} candidate quasi-cliques"
-                )
-
-            members_mask = node.members_mask
-            if mode == "coverage":
-                assert covered is not None
-                covered_mask = covered[0]
-                if not targets & ~covered_mask:
-                    return
-                union = members_mask | node.candidates
-                if not union & ~covered_mask or not union & targets & ~covered_mask:
-                    self.stats.pruned_covered += 1
-                    continue
-            elif mode == "topk" and emitted is not None and len(emitted) >= k:
-                smallest_top = min(pattern.bit_count() for pattern in emitted)
-                if (members_mask | node.candidates).bit_count() < smallest_top:
-                    self.stats.pruned_by_size += 1
-                    continue
-
-            kernel.restrict(node)
-            candidates = node.candidates
-
-            if mode == "coverage":
-                union = members_mask | candidates
-                if not union & ~covered_mask or not union & targets & ~covered_mask:
-                    self.stats.pruned_covered += 1
-                    continue
-
-            if mode == "topk" and emitted is not None and len(emitted) >= k:
-                smallest_top = min(pattern.bit_count() for pattern in emitted)
-                if (members_mask | candidates).bit_count() < smallest_top:
-                    self.stats.pruned_by_size += 1
-                    continue
-
-            if kernel.is_hopeless(node):
-                self.stats.pruned_hopeless += 1
-                continue
-
-            if candidates and kernel.union_satisfies(node):
-                # Lookahead: X ∪ candExts(X) is itself a quasi-clique — it
-                # subsumes every satisfying set of this subtree.
-                self.stats.lookahead_hits += 1
-                self._record(members_mask | candidates, mode, emitted, covered, k)
-                continue
-
-            if kernel.members_satisfy(node):
-                self._record(members_mask, mode, emitted, covered, k)
-
-            if not candidates:
-                continue
-            children = kernel.children(node)
-            if self.order == DFS:
-                # push in reverse so the smallest-ranked extension is explored first
-                children.reverse()
-            frontier.extend(children)
-
-    def _run_oracle(
-        self,
-        mode: str,
-        emitted: Optional[List[int]],
-        covered: Optional[List[int]],
-        targets: int,
-        k: int,
-    ) -> None:
-        """Historical from-scratch loop — the kernel's differential oracle."""
         params = self.params
         adjacency = self._adjacency
         frontier: deque = deque()

@@ -58,7 +58,7 @@ class TestMainMine:
         assert "top-sigma" in output
         assert "patterns" in output
 
-    def test_mine_verbose_prints_kernel_and_memo_counters(
+    def test_mine_verbose_prints_memo_counters(
         self, graph_files, capsys
     ):
         edges, attrs = graph_files
@@ -76,7 +76,6 @@ class TestMainMine:
         assert code == 0
         output = capsys.readouterr().out
         assert "counters: qualified=" in output
-        assert "kernel: counter_updates=" in output
         assert "coverage memo: hits=" in output
 
     def test_mine_verbose_prints_search_nodes_and_pattern_memo(
@@ -150,48 +149,6 @@ class TestMainMine:
         assert code == 0
         assert "11 vertices" in capsys.readouterr().out
 
-    def test_mine_kernel_backend_flag(self, graph_files, capsys):
-        """--kernel-backend switches the kernel without changing a byte."""
-        edges, attrs = graph_files
-        outputs = {}
-        for backend in ("bigint", "numpy"):
-            code = main(
-                [
-                    "mine",
-                    "--edges", edges,
-                    "--attributes", attrs,
-                    "--min-support", "3",
-                    "--gamma", "0.45",
-                    "--min-size", "3",
-                    "--kernel-backend", backend,
-                    "--verbose",
-                ]
-            )
-            assert code == 0
-            outputs[backend] = capsys.readouterr().out
-        assert "backends[searches]: bigint=" in outputs["bigint"]
-        assert "backends[searches]: numpy(uint8)=" in outputs["numpy"]
-        # everything except the backend attribution line and the wall
-        # time of the "evaluated N attribute sets in …s" line is identical
-        strip = lambda text: [
-            re.sub(r" in \d+\.\d+s$", "", line) for line in text.splitlines()
-            if not line.startswith("kernel: counter_updates=")
-        ]
-        assert strip(outputs["numpy"]) == strip(outputs["bigint"])
-
-    def test_mine_rejects_unknown_kernel_backend(self, graph_files):
-        edges, attrs = graph_files
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                [
-                    "mine",
-                    "--edges", edges,
-                    "--attributes", attrs,
-                    "--min-support", "3",
-                    "--kernel-backend", "cython",
-                ]
-            )
-
     def test_mine_with_naive_algorithm(self, graph_files, capsys):
         edges, attrs = graph_files
         code = main(
@@ -216,7 +173,7 @@ class TestMainMine:
 
         With ``--min-support`` above every attribute's support the run
         evaluates nothing; ``--verbose`` used to print the all-zero
-        kernel/memo counter lines anyway.  Now it says what happened.
+        memo/search-node counter lines anyway.  Now it says what happened.
         """
         edges, attrs = graph_files
         code = main(
@@ -231,7 +188,7 @@ class TestMainMine:
         assert code == 0
         output = capsys.readouterr().out
         assert "evaluated 0 attribute sets" in output
-        assert "kernel: counter_updates=" not in output
+        assert "coverage memo: hits=" not in output
         assert "counters: qualified=" not in output
         assert "no attribute sets evaluated" in output
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.correlation.patterns import (
     AttributeSetResult,
+    MiningCounters,
     MiningResult,
     StructuralCorrelationPattern,
 )
@@ -114,3 +115,25 @@ class TestMiningResult:
         )
         assert len(result.patterns) == 2
         assert result.top_patterns(1) == [pattern_big]
+
+
+class TestMiningCounters:
+    @pytest.mark.parametrize(
+        "retired",
+        [
+            {},
+            # Stores written while the search had counter-lane kernels
+            # carry these keys in runs.counters_json; they must still load.
+            {"kernel_counter_updates": 39476, "kernel_backends": {"bigint": 2}},
+        ],
+    )
+    def test_dict_round_trip(self, retired):
+        counters = MiningCounters(
+            attribute_sets_evaluated=11,
+            coverage_nodes_expanded=7,
+            pattern_memo_hits=3,
+            elapsed_seconds=0.25,
+        )
+        data = counters.to_dict()
+        assert data["coverage_nodes_expanded"] == 7
+        assert MiningCounters.from_dict({**data, **retired}) == counters
