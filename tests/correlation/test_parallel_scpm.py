@@ -10,6 +10,7 @@ simulation model derives a per-support child seed.
 
 import pytest
 
+from repro.correlation.naive import mine_naive
 from repro.correlation.null_models import SimulationNullModel
 from repro.correlation.parameters import SCPMParams
 from repro.correlation.scpm import SCPM, mine_scpm
@@ -237,6 +238,45 @@ class TestSchedulerDeterminism:
             assert canonical_bytes(parallel) == canonical_bytes(sequential)
 
 
+class TestBothSidesOfHalfGamma:
+    """γ < 0.5 runs every search without the diameter bound; the contract
+    holds there exactly as at γ ≥ 0.5 — engines, orders, schedules and the
+    naive baseline all mine byte-identical output."""
+
+    @pytest.mark.parametrize("order", ["dfs", "bfs"])
+    @pytest.mark.parametrize("gamma", [0.45, 0.6])
+    def test_scpm_identical_across_engines(self, half_gamma_reference, gamma, order):
+        graph, reference = half_gamma_reference
+        outputs = {
+            engine: canonical_bytes(
+                mine_scpm(graph, half_gamma_params(gamma, engine=engine, order=order))
+            )
+            for engine in ("dense", "sparse", "auto")
+        }
+        assert outputs["sparse"] == outputs["dense"]
+        assert outputs["auto"] == outputs["dense"]
+        if order == "dfs":
+            assert outputs["dense"] == reference(gamma)
+
+    @pytest.mark.parametrize("schedule", ["stripe", "steal"])
+    @pytest.mark.parametrize("gamma", [0.45, 0.6])
+    def test_parallel_identical_to_sequential(
+        self, half_gamma_reference, gamma, schedule
+    ):
+        graph, reference = half_gamma_reference
+        params = half_gamma_params(gamma, n_jobs=2, schedule=schedule)
+        assert canonical_bytes(mine_scpm(graph, params)) == reference(gamma)
+
+    @pytest.mark.parametrize("gamma", [0.45, 0.6])
+    def test_naive_identical_across_engines(self, half_gamma_reference, gamma):
+        graph, _ = half_gamma_reference
+        outputs = [
+            canonical_bytes(mine_naive(graph, half_gamma_params(gamma, engine=engine)))
+            for engine in ("dense", "sparse")
+        ]
+        assert outputs[0] == outputs[1]
+
+
 class TestBranchPayload:
     """The transfer payload itself, driven in this process (workers
     normally rebuild it in children, unseen by the coverage gate)."""
@@ -280,4 +320,39 @@ def community_reference():
     """The synthetic community graph plus its sequential reference bytes."""
     graph = community_graph()
     reference = canonical_bytes(mine_scpm(graph, PARAMS))
+    return graph, reference
+
+
+def half_gamma_params(gamma, **changes):
+    return SCPMParams(
+        min_support=5, gamma=gamma, min_size=3, min_epsilon=0.1, top_k=5
+    ).with_changes(**changes)
+
+
+@pytest.fixture(scope="module")
+def half_gamma_reference():
+    """Three 12-vertex communities plus a lookup of sequential reference
+    bytes by γ."""
+    graph = generate(
+        SyntheticSpec(
+            num_vertices=60,
+            background_degree=2.5,
+            vocabulary_size=8,
+            attributes_per_vertex=0.6,
+            communities=tuple(
+                CommunitySpec(attributes=(f"c{j}",), size=12, density=0.7)
+                for j in range(3)
+            ),
+            seed=11,
+        )
+    )
+    references = {}
+
+    def reference(gamma):
+        if gamma not in references:
+            references[gamma] = canonical_bytes(
+                mine_scpm(graph, half_gamma_params(gamma))
+            )
+        return references[gamma]
+
     return graph, reference

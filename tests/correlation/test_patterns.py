@@ -137,3 +137,31 @@ class TestMiningCounters:
         data = counters.to_dict()
         assert data["coverage_nodes_expanded"] == 7
         assert MiningCounters.from_dict({**data, **retired}) == counters
+
+    def test_accumulate_sums_work_counters_but_not_wall_time(self):
+        from repro.correlation.scpm import _accumulate_counters
+
+        target = MiningCounters(
+            attribute_sets_evaluated=2,
+            coverage_nodes_expanded=10,
+            coverage_memo_hits=1,
+            elapsed_seconds=1.5,
+        )
+        source = MiningCounters(
+            attribute_sets_evaluated=3,
+            attribute_sets_pruned=4,
+            coverage_nodes_expanded=5,
+            pattern_nodes_expanded=6,
+            pattern_memo_misses=2,
+            elapsed_seconds=9.0,
+        )
+        _accumulate_counters(target, source)
+        assert target == MiningCounters(
+            attribute_sets_evaluated=5,
+            attribute_sets_pruned=4,
+            coverage_nodes_expanded=15,
+            pattern_nodes_expanded=6,
+            coverage_memo_hits=1,
+            pattern_memo_misses=2,
+            elapsed_seconds=1.5,
+        )

@@ -1,18 +1,29 @@
 """Unit tests for the quasi-clique search engine (all three modes).
 
 The seeded differential grid at the end checks every mode against the
-brute-force reference on random graphs of 10–20 vertices.  Seeds are
-fixed so failures replay; CI appends one more seed through the
-``REPRO_FUZZ_SEED`` environment variable.
+brute-force reference on random graphs of 10–20 vertices — whole graphs,
+vertex-restricted searches and targeted coverage — and, up to 30
+vertices, checks that the vertex-set engine changes nothing (results and
+expansion statistics), that distance pruning is sound and that top-k
+keeps its documented guarantees.  Seeds are fixed so failures replay; CI
+appends one more seed through the ``REPRO_FUZZ_SEED`` environment
+variable.
 """
 
+import functools
 import os
+import random
 
 import pytest
 
 from repro.datasets.synthetic import random_attributed_graph
 from repro.errors import ParameterError
-from repro.quasiclique.definitions import QuasiCliqueParams, gamma_of
+from repro.graph.attributed_graph import AttributedGraph
+from repro.quasiclique.definitions import (
+    QuasiCliqueParams,
+    gamma_of,
+    satisfies_degree_condition,
+)
 from repro.quasiclique.reference import (
     brute_force_covered_vertices,
     brute_force_maximal_quasi_cliques,
@@ -169,13 +180,12 @@ class TestEngineDetails:
 
 
 # ----------------------------------------------------------------------
-# seeded differential grid against brute force
+# seeded differential grid
 # ----------------------------------------------------------------------
 BASE_SEEDS = (5, 23)
 
 #: (num_vertices, edge_probability, γ, min_size) — shapes from near-empty
-#: to dense.  γ < 0.5 rows run without the diameter bound; every row stays
-#: within the brute-force reference's 20-vertex limit.
+#: to dense.  γ < 0.5 rows run without the diameter bound.
 CASE_GRID = (
     (10, 0.1, 0.4, 3),
     (14, 0.3, 0.4, 3),
@@ -183,8 +193,15 @@ CASE_GRID = (
     (16, 0.25, 0.6, 3),
     (20, 0.4, 0.6, 3),
     (18, 0.5, 0.8, 4),
+    (30, 0.2, 0.6, 3),
     (20, 0.4, 1.0, 3),
 )
+
+#: The rows within the brute-force reference's 20-vertex limit.
+BRUTE_FORCE_GRID = tuple(row for row in CASE_GRID if row[0] <= 20)
+
+#: The rows where the diameter bound (γ ≥ 0.5) is in force.
+DISTANCE_PRUNED_GRID = tuple(row for row in CASE_GRID if row[2] >= 0.5)
 
 
 def fuzz_seeds():
@@ -205,35 +222,222 @@ def fuzz_graph(seed, num_vertices, edge_probability):
     )
 
 
-@pytest.mark.parametrize("seed", fuzz_seeds())
-@pytest.mark.parametrize(
-    "num_vertices,edge_probability,gamma,min_size", CASE_GRID
-)
-def test_search_matches_brute_force(
-    seed, num_vertices, edge_probability, gamma, min_size
-):
+@functools.lru_cache(maxsize=None)
+def brute_force_case(seed, num_vertices, edge_probability, gamma, min_size):
+    """(graph, params, maximal sets, covered vertices) of one grid row."""
     graph = fuzz_graph(seed, num_vertices, edge_probability)
     params = QuasiCliqueParams(gamma=gamma, min_size=min_size)
-    maximal = brute_force_maximal_quasi_cliques(graph, params)
-    covered = brute_force_covered_vertices(graph, params)
-    adjacency = {v: set(graph.neighbor_set(v)) for v in graph.vertices()}
-    best = min(
+    return (
+        graph,
+        params,
+        brute_force_maximal_quasi_cliques(graph, params),
+        brute_force_covered_vertices(graph, params),
+    )
+
+
+def vertex_sample(graph, seed, fraction):
+    """A seeded sample of ``fraction`` of the graph's vertices."""
+    vertices = sorted(graph.vertices(), key=repr)
+    rng = random.Random(seed * 31 + len(vertices))
+    return rng.sample(vertices, int(len(vertices) * fraction))
+
+
+def adjacency_of(graph):
+    return {v: set(graph.neighbor_set(v)) for v in graph.vertices()}
+
+
+def best_pattern(adjacency, maximal):
+    """Rank 1 of top-k: the largest maximal set, then the densest."""
+    return min(
         maximal,
         key=lambda s: (-len(s), -gamma_of(adjacency, s), sorted(map(repr, s))),
         default=None,
     )
+
+
+def stats_tuple(stats):
+    """Every expansion/pruning statistic of one search."""
+    return (
+        stats.nodes_expanded,
+        stats.lookahead_hits,
+        stats.satisfying_sets_found,
+        stats.pruned_hopeless,
+        stats.pruned_covered,
+        stats.pruned_by_size,
+    )
+
+
+def assert_modes_match(graph, params, maximal, covered, vertices=None):
+    adjacency = adjacency_of(graph)
+    best = best_pattern(adjacency, maximal)
     for order in (DFS, BFS):
-        found = QuasiCliqueSearch(graph, params, order=order).enumerate_maximal()
+        def search():
+            return QuasiCliqueSearch(graph, params, vertices=vertices, order=order)
+
+        found = search().enumerate_maximal()
         assert len(found) == len(set(found))
         assert set(found) == set(maximal)
-        assert (
-            QuasiCliqueSearch(graph, params, order=order).covered_vertices()
-            == covered
-        )
-        top = QuasiCliqueSearch(graph, params, order=order).top_k(4)
+        assert search().covered_vertices() == covered
+        top = search().top_k(4)
         if best is None:
             assert top == []
         else:
             vertex_set, top_gamma = top[0]
             assert vertex_set == best
             assert top_gamma == pytest.approx(gamma_of(adjacency, best))
+
+
+@pytest.mark.parametrize("seed", fuzz_seeds())
+@pytest.mark.parametrize(
+    "num_vertices,edge_probability,gamma,min_size", BRUTE_FORCE_GRID
+)
+def test_search_matches_brute_force(
+    seed, num_vertices, edge_probability, gamma, min_size
+):
+    graph, params, maximal, covered = brute_force_case(
+        seed, num_vertices, edge_probability, gamma, min_size
+    )
+    assert_modes_match(graph, params, maximal, covered)
+
+
+@pytest.mark.parametrize("seed", fuzz_seeds())
+@pytest.mark.parametrize(
+    "num_vertices,edge_probability,gamma,min_size", BRUTE_FORCE_GRID
+)
+def test_restricted_search_matches_brute_force(
+    seed, num_vertices, edge_probability, gamma, min_size
+):
+    # A vertex restriction must behave exactly like a search of the
+    # induced subgraph (SCPM restricts every search this way).
+    graph = fuzz_graph(seed, num_vertices, edge_probability)
+    params = QuasiCliqueParams(gamma=gamma, min_size=min_size)
+    vertices = vertex_sample(graph, seed, 2 / 3)
+    assert_modes_match(
+        graph,
+        params,
+        brute_force_maximal_quasi_cliques(graph, params, vertices),
+        brute_force_covered_vertices(graph, params, vertices),
+        vertices=vertices,
+    )
+
+
+@pytest.mark.parametrize("seed", fuzz_seeds())
+@pytest.mark.parametrize(
+    "num_vertices,edge_probability,gamma,min_size", BRUTE_FORCE_GRID
+)
+def test_targeted_coverage_matches_brute_force(
+    seed, num_vertices, edge_probability, gamma, min_size
+):
+    graph, params, _, covered = brute_force_case(
+        seed, num_vertices, edge_probability, gamma, min_size
+    )
+    # Targets outside the graph are ignored, like those outside the
+    # working set.
+    targets = vertex_sample(graph, seed + 1, 1 / 2) + ["not-a-vertex"]
+    for order in (DFS, BFS):
+        search = QuasiCliqueSearch(graph, params, order=order)
+        assert search.covered_vertices(targets) == covered & frozenset(targets)
+
+
+@pytest.mark.parametrize("seed", fuzz_seeds())
+@pytest.mark.parametrize(
+    "num_vertices,edge_probability,gamma,min_size", CASE_GRID
+)
+def test_search_identical_across_engines(
+    seed, num_vertices, edge_probability, gamma, min_size
+):
+    graph = fuzz_graph(seed, num_vertices, edge_probability)
+    params = QuasiCliqueParams(gamma=gamma, min_size=min_size)
+    for order in (DFS, BFS):
+        by_engine = {}
+        for engine in ("dense", "sparse"):
+            def search():
+                return QuasiCliqueSearch(graph, params, order=order, engine=engine)
+
+            coverage, enumerate_search, topk = search(), search(), search()
+            by_engine[engine] = (
+                coverage.covered_vertices(),
+                stats_tuple(coverage.stats),
+                enumerate_search.enumerate_maximal(),  # order included
+                stats_tuple(enumerate_search.stats),
+                topk.top_k(4),
+                stats_tuple(topk.stats),
+            )
+        assert by_engine["sparse"] == by_engine["dense"]
+
+
+@pytest.mark.parametrize("seed", fuzz_seeds())
+@pytest.mark.parametrize(
+    "num_vertices,edge_probability,gamma,min_size", DISTANCE_PRUNED_GRID
+)
+def test_distance_pruning_is_sound(
+    seed, num_vertices, edge_probability, gamma, min_size
+):
+    graph = fuzz_graph(seed, num_vertices, edge_probability)
+    params = QuasiCliqueParams(gamma=gamma, min_size=min_size)
+    for order in (DFS, BFS):
+        results = []
+        for use_distance_pruning in (True, False):
+            def search():
+                return QuasiCliqueSearch(
+                    graph,
+                    params,
+                    order=order,
+                    use_distance_pruning=use_distance_pruning,
+                )
+
+            top = search().top_k(4)
+            results.append(
+                (
+                    set(search().enumerate_maximal()),
+                    search().covered_vertices(),
+                    top[:1],
+                )
+            )
+        assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("seed", fuzz_seeds())
+@pytest.mark.parametrize(
+    "num_vertices,edge_probability,gamma,min_size", CASE_GRID[:4]
+)
+def test_top_k_guarantees(seed, num_vertices, edge_probability, gamma, min_size):
+    # The guarantees the top_k docstring states for every rank, not just
+    # the exact rank 1.
+    graph = fuzz_graph(seed, num_vertices, edge_probability)
+    params = QuasiCliqueParams(gamma=gamma, min_size=min_size)
+    adjacency = adjacency_of(graph)
+    for order in (DFS, BFS):
+        top = QuasiCliqueSearch(graph, params, order=order).top_k(4)
+        assert len(top) <= 4
+        for vertex_set, top_gamma in top:
+            assert len(vertex_set) >= min_size
+            assert satisfies_degree_condition(adjacency, vertex_set, params)
+            assert top_gamma == pytest.approx(gamma_of(adjacency, vertex_set))
+        sets = [vertex_set for vertex_set, _ in top]
+        for i, first in enumerate(sets):
+            for second in sets[i + 1:]:
+                assert not first <= second and not second <= first
+        keys = [(-len(vertex_set), -g) for vertex_set, g in top]
+        assert keys == sorted(keys)
+
+
+def test_deep_member_paths_match_brute_force():
+    # A 14-clique in which vertex 0 misses four edges: the root lookahead
+    # fails and the search recurses into member paths of ten and more
+    # vertices.
+    graph = AttributedGraph()
+    clique = list(range(14))
+    missing = {(0, 1), (0, 2), (0, 3), (0, 4)}
+    for v in clique:
+        graph.add_vertex(v)
+    for i in clique:
+        for j in clique[i + 1:]:
+            if (i, j) not in missing:
+                graph.add_edge(i, j)
+    params = QuasiCliqueParams(gamma=0.9, min_size=10)
+    maximal = brute_force_maximal_quasi_cliques(graph, params)
+    assert frozenset(clique[1:]) in maximal
+    assert_modes_match(
+        graph, params, maximal, brute_force_covered_vertices(graph, params)
+    )
