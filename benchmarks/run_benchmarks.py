@@ -141,18 +141,59 @@ def run_grid(scale: float, jobs_grid, engines, schedules):
                     )
                 )
 
+    entries.extend(pattern_entries(scale, engines))
     entries.extend(store_entries(scale))
     entries.extend(http_entries(scale))
     return entries
 
 
 # Pattern collection (the store needs full patterns, unlike the
-# collect_patterns=False scpm_mine rows above) enumerates top-k
-# quasi-cliques per qualified set, and that cost explodes with the
-# community block size: ~0.8s at scale 0.2, ~3s at 0.35, minutes at
-# 0.5+.  The store rows time the store, not the mine, so the feeder
-# workload is capped here.
+# collect_patterns=False scpm_mine rows above) enumerates the top-k
+# maximal quasi-cliques per distinct working set, and that cost grows
+# steeply with the community block size: one sequential mine takes
+# ~0.02s at scale 0.35 but ~5s at 0.5 (2-core x86-64, Python 3.11).
+# Every collect-patterns workload below (the scpm_mine_patterns rows
+# and the store/HTTP feeders) is therefore capped here.
 STORE_WORKLOAD_MAX_SCALE = 0.35
+
+
+def pattern_entries(scale, engines):
+    """Sequential ``scpm_mine_patterns`` rows: the mine with top-k patterns.
+
+    One row per engine, next to the ``scpm_mine`` rows (which keep
+    ``collect_patterns=False`` so their history stays comparable), with
+    the top-k search's expanded nodes and pattern-memo hits/misses.
+    """
+    graph, block = build_graph(min(scale, STORE_WORKLOAD_MAX_SCALE))
+    entries = []
+    for engine in engines:
+        params = SCPMParams(
+            min_support=block - 2,
+            gamma=0.6,
+            min_size=4,
+            min_epsilon=0.2,
+            top_k=5,
+            engine=engine,
+        )
+        box = {}
+        seconds = timed(
+            lambda: box.setdefault(
+                "result", mine_scpm(graph, params, collect_patterns=True)
+            )
+        )
+        counters = box["result"].counters
+        entries.append(
+            entry(
+                "scpm_mine_patterns",
+                graph,
+                seconds,
+                engine=engine,
+                pattern_nodes_expanded=counters.pattern_nodes_expanded,
+                pattern_memo_hits=counters.pattern_memo_hits,
+                pattern_memo_misses=counters.pattern_memo_misses,
+            )
+        )
+    return entries
 
 
 def store_entries(scale, readers=8, reader_queries=150):

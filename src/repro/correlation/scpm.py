@@ -175,7 +175,7 @@ class SCPM:
             CoverageMemo() if params.coverage_memo else None
         )
         #: The same for top-k results, keyed on (working set, γ,
-        #: min_size, k, order) — see :func:`top_k_patterns`.
+        #: min_size, k) — see :func:`top_k_patterns`.
         self.pattern_memo: Optional[CoverageMemo] = (
             CoverageMemo() if params.coverage_memo else None
         )

@@ -216,15 +216,18 @@ def top_k_patterns(
 ) -> List[StructuralCorrelationPattern]:
     """Return the top-``k`` structural correlation patterns induced by ``S``.
 
-    Patterns are ranked by size (primary) then density (secondary), exactly
-    as in Section 3.2.3 of the paper.
+    Patterns are the first ``k`` maximal quasi-cliques ranked by size
+    (primary) then density (secondary), exactly as in Section 3.2.3 of
+    the paper.
 
     ``memo`` optionally short-circuits the search through a
     :class:`~repro.quasiclique.memo.CoverageMemo` keyed on
-    ``(working set, γ, min_size, k, order)`` — the arguments
+    ``(working set, γ, min_size, k)`` — the arguments
     :meth:`~repro.quasiclique.search.QuasiCliqueSearch.top_k` is a pure
     function of — holding the search's ``((vertices, γ), …)`` tuple, so
     Theorem-3 siblings with equal working sets share one search.
+    ``order`` is not in the key: it changes how the search walks the
+    tree, not what it returns.
     ``counters`` receives the pattern-memo hit/miss and expanded-node
     counts.
     """
@@ -240,7 +243,7 @@ def top_k_patterns(
     )
     ranked = None
     if memo is not None:
-        key = memo.key(working, params.gamma, params.min_size, k, order)
+        key = memo.key(working, params.gamma, params.min_size, k)
         ranked = memo.get(key)
     if ranked is None:
         search = QuasiCliqueSearch(

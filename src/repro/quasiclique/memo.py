@@ -25,10 +25,13 @@ to running the search — the memo-on/off differential suite enforces it.
 
 SCPM keeps a second instance of the class, its *pattern memo*, for the
 top-k stage (:func:`repro.correlation.structural.top_k_patterns`).  Its
-keys append ``k`` and the traversal order to the coverage key, and its
-values are the ``((vertices, γ), …)`` tuples
+keys append ``k`` to the coverage key, and its values are the
+``((vertices, γ), …)`` tuples
 :meth:`~repro.quasiclique.search.QuasiCliqueSearch.top_k` returns —
-vertex labels, so they too cross process boundaries unchanged.
+vertex labels, so they too cross process boundaries unchanged.  Top-k is
+exact (the first ``k`` maximal quasi-cliques in a fixed ranking), so,
+like coverage, its result does not depend on the traversal order and the
+key leaves the order out: DFS and BFS runs share entries.
 
 Two layers keep parallel runs deterministic:
 
@@ -105,7 +108,7 @@ class CoverageMemo:
         two different searches.  γ and ``min_size`` pin the quasi-clique
         definition the cached result answers for; ``mode`` appends
         whatever else the result depends on (the pattern memo adds
-        ``k`` and the traversal order).  The working set always comes
+        ``k``).  The working set always comes
         first — :func:`repro.quasiclique.delta.invalidate_memo` reads it
         from ``key[0]``.
         """

@@ -7,8 +7,8 @@ One engine drives the three tasks the paper needs:
 * :meth:`QuasiCliqueSearch.covered_vertices` — the set ``K`` of vertices that
   belong to at least one quasi-clique, computed with *cover pruning* and
   early termination (this is how SCPM evaluates the structural correlation);
-* :meth:`QuasiCliqueSearch.top_k` — the k largest/densest patterns with the
-  dynamically increasing size threshold of Section 3.2.3.
+* :meth:`QuasiCliqueSearch.top_k` — the k largest/densest maximal patterns,
+  found by enumerating at a descending size threshold (Section 3.2.3).
 
 Candidates ``(X, candExts(X))`` are explored over a set-enumeration tree
 (Figure 2 of the paper).  A deque gives the BFS strategy, a stack the DFS
@@ -96,7 +96,6 @@ class SearchStats:
     satisfying_sets_found: int = 0
     pruned_hopeless: int = 0
     pruned_covered: int = 0
-    pruned_by_size: int = 0
     memo_hits: int = 0
     memo_misses: int = 0
 
@@ -118,10 +117,10 @@ class _Node:
 class QuasiCliqueSearch:
     """Quasi-clique search over a graph or a vertex-restricted subgraph.
 
-    All three modes (enumerate, coverage, top-k) run on one
-    set-enumeration loop, :meth:`_run`, over the working set's local-id
-    adjacency masks; DFS and BFS differ only in which end of the frontier
-    is popped.
+    Enumeration and coverage run on one set-enumeration loop,
+    :meth:`_run`, over the working set's local-id adjacency masks, and
+    top-k runs that loop's enumeration at raised size thresholds; DFS and
+    BFS differ only in which end of the frontier is popped.
 
     Parameters
     ----------
@@ -206,9 +205,6 @@ class QuasiCliqueSearch:
             if use_distance_pruning
             else None
         )
-        # Per-mask (size, γ, repr-rank) sort keys the top-k re-sorts reuse —
-        # gamma_of_mask and the repr sort are pure functions of the mask.
-        self._pattern_keys: Dict[int, Tuple] = {}
 
     # ------------------------------------------------------------------
     # public modes
@@ -227,9 +223,7 @@ class QuasiCliqueSearch:
         removes non-maximal emissions, which yields exactly the maximal
         sets (each satisfying set is contained in some emitted set).
         """
-        emitted: List[int] = []
-        self._run(mode="enumerate", emitted=emitted)
-        return [self._to_frozenset(mask) for mask in _maximal_only(emitted)]
+        return [self._to_frozenset(mask) for mask in self._maximal_masks()]
 
     def covered_vertices(
         self, targets: Optional[Iterable[Vertex]] = None
@@ -257,44 +251,88 @@ class QuasiCliqueSearch:
         return covered[0] & targets_mask
 
     def top_k(self, k: int) -> List[Tuple[FrozenSet[Vertex], float]]:
-        """Return the top-``k`` patterns ranked by size then density (γ).
+        """Return the top-``k`` maximal quasi-cliques by size, then density.
 
-        The result is a list of ``(vertex_set, gamma)`` pairs, best first.
-        Following Section 3.2.3, the minimum size threshold is raised as the
-        result set fills up, pruning subtrees that cannot beat the current
-        k-th best pattern.
+        The result is a list of ``(vertex_set, gamma)`` pairs: the first
+        ``k`` maximal γ-quasi-cliques of size ≥ ``min_size`` under
+        Section 3.2.3's ranking — size descending, then γ descending,
+        then the sorted vertex reprs — or all of them when fewer than
+        ``k`` exist.
 
-        Guarantees: the largest pattern is exact, every returned set
-        satisfies Definition 1's degree/size condition, and the results are
-        pairwise incomparable.  Because the pruning threshold is driven by
-        the *current* pattern set — which can momentarily contain
-        non-maximal candidates, exactly as in the paper's rule — patterns
-        ranked 2..k may occasionally be larger than the true k-th maximal
-        pattern would allow smaller ones to appear; in practice this only
-        shows up on adversarial tiny graphs (see the property tests).
+        The search runs in threshold rounds.  ``t`` starts at an upper
+        bound on the quasi-clique size (:meth:`_size_bound`) and falls by
+        1, 2, 4, … down to ``min_size``; each round prunes the working
+        set to the threshold-``t`` degree fixpoint and enumerates the
+        maximal sets of size ≥ ``t``.  A satisfying superset of a set of
+        size ≥ ``t`` has size ≥ ``t`` too, so these are exactly the
+        maximal quasi-cliques of size ≥ ``t``, and every maximal set the
+        round misses ranks below all of them.  The first round that finds
+        ``k`` sets (or the one at ``min_size``, or one that finds the whole
+        working set, the only maximal set then) therefore holds the exact
+        answer.
 
-        Inexact or not, the result is a pure function of ``(working set,
-        γ, min_size, k, order)``: the search reads only the subgraph
-        induced by its working set, and the traversal is deterministic
-        for a given order (the engine changes neither the result nor the
-        expanded nodes).  SCPM's pattern memo keys on
-        exactly that tuple (:func:`repro.correlation.structural.top_k_patterns`).
+        ``stats.nodes_expanded`` counts the nodes of every round, and
+        ``node_budget`` caps that total.  The result is a pure function
+        of ``(working set, γ, min_size, k)``: the search reads only the
+        subgraph induced by its working set, and neither the traversal
+        order nor the engine changes the set of maximal quasi-cliques.
+        SCPM's pattern memo keys on exactly that tuple
+        (:func:`repro.correlation.structural.top_k_patterns`).
         """
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k}")
-        current_top: List[int] = []
-        # Seed the result set with greedily found quasi-cliques so the dynamic
-        # size threshold of Section 3.2.3 starts pruning immediately.
-        for seed in self._greedy_satisfying_sets(self._universe):
-            self._record(seed, "topk", current_top, None, k)
-        self._run(mode="topk", emitted=current_top, k=k)
-        ranked = sorted(current_top, key=self._pattern_sort_key)
-        # The cached key already carries -γ; reuse it instead of another
-        # gamma_of_mask sweep per returned pattern.
+        gamma, min_size = self.params.gamma, self.params.min_size
+        threshold = max(self._size_bound(), min_size)
+        step = 1
+        while True:
+            raised = QuasiCliqueParams(gamma, threshold)
+            alive, _ = prune_low_degree_masks(self._adjacency, raised)
+            maximal = (
+                self._maximal_masks(raised, alive)
+                if alive.bit_count() >= threshold
+                else []
+            )
+            # A working set that is itself a quasi-clique contains every
+            # other one: it is the only maximal set, and lower rounds
+            # cannot add to it.
+            if (
+                len(maximal) >= k
+                or threshold == min_size
+                or self._universe in maximal
+            ):
+                break
+            threshold = max(threshold - step, min_size)
+            step *= 2
+        ranked = sorted(maximal, key=self._pattern_sort_key)[:k]
         return [
-            (self._to_frozenset(mask), -self._pattern_sort_key(mask)[1])
-            for mask in ranked[:k]
+            (self._to_frozenset(mask), gamma_of_mask(self._adjacency, mask))
+            for mask in ranked
         ]
+
+    def _maximal_masks(
+        self,
+        params: Optional[QuasiCliqueParams] = None,
+        universe: Optional[int] = None,
+    ) -> List[int]:
+        """Maximal satisfying sets of the enumerate mode, as masks."""
+        emitted: List[int] = []
+        self._run(mode="enumerate", emitted=emitted, params=params, universe=universe)
+        return _maximal_only(emitted)
+
+    def _size_bound(self) -> int:
+        """Upper bound on the size of any quasi-clique of the working set.
+
+        The largest ``s`` such that at least ``s`` working vertices have
+        degree ≥ ``⌈γ(s−1)⌉``: every member of a size-``s`` quasi-clique
+        has that many neighbours inside it.
+        """
+        degrees = sorted(
+            (mask.bit_count() for mask in self._adjacency), reverse=True
+        )
+        for size in range(len(degrees), 0, -1):
+            if degrees[size - 1] >= self.params.degree_threshold(size):
+                return size
+        return 0
 
     # ------------------------------------------------------------------
     # conversions
@@ -372,21 +410,25 @@ class QuasiCliqueSearch:
         emitted: Optional[List[int]] = None,
         covered: Optional[List[int]] = None,
         targets: int = 0,
-        k: int = 0,
+        params: Optional[QuasiCliqueParams] = None,
+        universe: Optional[int] = None,
     ) -> None:
         """Drive the set-enumeration search in the requested ``mode``.
 
+        ``params`` and ``universe`` default to the search's own; top-k
+        passes a raised ``min_size`` and the vertices that survive it.
         Every node recomputes its pruning state from the adjacency masks:
-        candidate restriction, the cover/size rules, the hopeless-subtree
-        test and the lookahead are each a few ``&`` plus popcounts over
-        the working set's local ids.
+        candidate restriction, the cover rule, the hopeless-subtree test
+        and the lookahead are each a few ``&`` plus popcounts over the
+        working set's local ids.
         """
-        if not self._universe:
+        params = self.params if params is None else params
+        universe = self._universe if universe is None else universe
+        if not universe:
             return
-        params = self.params
         adjacency = self._adjacency
         frontier: deque = deque()
-        frontier.append(_Node(members=(), members_mask=0, candidates=self._universe))
+        frontier.append(_Node(members=(), members_mask=0, candidates=universe))
 
         while frontier:
             node = frontier.popleft() if self.order == BFS else frontier.pop()
@@ -416,12 +458,6 @@ class QuasiCliqueSearch:
                     self.stats.pruned_covered += 1
                     continue
 
-            if mode == "topk" and emitted is not None and len(emitted) >= k:
-                smallest_top = min(pattern.bit_count() for pattern in emitted)
-                if (members_mask | candidates).bit_count() < smallest_top:
-                    self.stats.pruned_by_size += 1
-                    continue
-
             if subtree_is_hopeless_masks(adjacency, members_mask, candidates, params):
                 self.stats.pruned_hopeless += 1
                 continue
@@ -431,13 +467,13 @@ class QuasiCliqueSearch:
                 # Lookahead: X ∪ candExts(X) is itself a quasi-clique — it
                 # subsumes every satisfying set of this subtree.
                 self.stats.lookahead_hits += 1
-                self._record(union, mode, emitted, covered, k)
+                self._record(union, mode, emitted, covered)
                 continue
 
             if members_mask.bit_count() >= params.min_size and (
                 satisfies_degree_condition_mask(adjacency, members_mask, params)
             ):
-                self._record(members_mask, mode, emitted, covered, k)
+                self._record(members_mask, mode, emitted, covered)
 
             if not candidates:
                 continue
@@ -466,7 +502,6 @@ class QuasiCliqueSearch:
         mode: str,
         emitted: Optional[List[int]],
         covered: Optional[List[int]],
-        k: int,
     ) -> None:
         """Register a satisfying vertex set according to the search mode."""
         self.stats.satisfying_sets_found += 1
@@ -475,38 +510,15 @@ class QuasiCliqueSearch:
             covered[0] |= vertex_mask
             return
         assert emitted is not None
-        if mode == "enumerate":
-            emitted.append(vertex_mask)
-            return
-        # top-k mode: keep only the current best, containment-filtered, so the
-        # dynamic size threshold reflects k *distinct* candidate patterns.
-        if any(vertex_mask & ~existing == 0 for existing in emitted):
-            return
-        emitted[:] = [
-            existing
-            for existing in emitted
-            if not (existing != vertex_mask and existing & ~vertex_mask == 0)
-        ]
         emitted.append(vertex_mask)
-        # Tie-break on vertex reprs (not raw mask order) so the k retained
-        # patterns match the naive baseline's ranking when (size, γ) tie.
-        # Keys are cached per mask: the re-sort on every insertion would
-        # otherwise recompute gamma_of_mask and the repr sort for every
-        # retained pattern each time.
-        emitted.sort(key=self._pattern_sort_key)
-        del emitted[k:]
 
     def _pattern_sort_key(self, vertex_mask: int) -> Tuple:
-        """Cached ``(-size, -γ, repr-ranked vertices)`` ranking key."""
-        key = self._pattern_keys.get(vertex_mask)
-        if key is None:
-            key = (
-                -vertex_mask.bit_count(),
-                -gamma_of_mask(self._adjacency, vertex_mask),
-                sorted(map(repr, self._to_frozenset(vertex_mask))),
-            )
-            self._pattern_keys[vertex_mask] = key
-        return key
+        """``(-size, -γ, repr-ranked vertices)`` ranking key of a pattern."""
+        return (
+            -vertex_mask.bit_count(),
+            -gamma_of_mask(self._adjacency, vertex_mask),
+            sorted(map(repr, self._to_frozenset(vertex_mask))),
+        )
 
 
 def _maximal_only(masks: Sequence[int]) -> List[int]:

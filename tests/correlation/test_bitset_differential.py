@@ -32,7 +32,6 @@ from repro.datasets.synthetic import (
 )
 from repro.itemsets.eclat import EclatConfig, EclatMiner
 from repro.quasiclique.definitions import QuasiCliqueParams
-from repro.quasiclique.search import find_quasi_cliques
 from repro.quasiclique.pruning import (
     MaskDistanceIndex,
     DistanceIndex,
@@ -158,35 +157,24 @@ class TestMiningDifferential:
 
     @pytest.mark.parametrize("graph", synthetic_graphs())
     def test_scpm_patterns_agree_with_naive(self, graph):
-        """Pattern-level differential within the top-k guarantees.
+        """Pattern-level differential on every rank.
 
-        SCPM's top-k search guarantees the largest pattern exactly and that
-        every returned set satisfies the γ degree condition; ranks 2..k may
-        legitimately include non-maximal sets (see
-        ``QuasiCliqueSearch.top_k``), so each one must at least be contained
-        in some maximal pattern the naive miner enumerates.
+        SCPM's top-k search and the naive miner's full enumeration both
+        yield the first ``top_k`` maximal patterns in the same ranking, so
+        every qualified set carries the same patterns, vertices and γ.
         """
         scpm = SCPM(graph, PARAMS).mine()
         naive = NaiveMiner(graph, PARAMS).mine()
         naive_by_attrs = {r.attributes: r for r in naive.qualified}
+        assert any(record.patterns for record in scpm.qualified)
         for record in scpm.qualified:
             counterpart = naive_by_attrs[record.attributes]
-            if counterpart.patterns:
-                assert record.patterns, record.attributes
-                top_scpm, top_naive = record.patterns[0], counterpart.patterns[0]
-                assert top_scpm.vertices == top_naive.vertices
-                assert top_scpm.gamma == pytest.approx(top_naive.gamma)
-            if record.patterns:
-                maximal = find_quasi_cliques(
-                    graph,
-                    PARAMS.gamma,
-                    PARAMS.min_size,
-                    vertices=graph.vertices_with_all(record.attributes),
-                )
-                for pattern in record.patterns:
-                    assert any(
-                        pattern.vertices <= m for m in maximal
-                    ), (record.attributes, pattern.vertices)
+            assert [p.vertices for p in record.patterns] == [
+                p.vertices for p in counterpart.patterns
+            ], record.attributes
+            assert [p.gamma for p in record.patterns] == pytest.approx(
+                [p.gamma for p in counterpart.patterns]
+            )
 
     @pytest.mark.parametrize("graph", synthetic_graphs())
     def test_structural_correlation_bitset_matches_public_path(self, graph):

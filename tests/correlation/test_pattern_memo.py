@@ -3,17 +3,19 @@
 SCPM keeps a second :class:`~repro.quasiclique.memo.CoverageMemo`, the
 *pattern memo*, in front of the top-k search
 (:func:`repro.correlation.structural.top_k_patterns`).  Its key is
-``(working set, γ, min_size, k, order)`` and
+``(working set, γ, min_size, k)`` and the exact
 :meth:`~repro.quasiclique.search.QuasiCliqueSearch.top_k` is a pure
-function of it, so the memo may only change *how often* the search runs,
-never what it returns.  The suite checks:
+function of it — the traversal order is not part of it — so the memo may
+only change *how often* the search runs, never what it returns.  The
+suite checks:
 
 * memo-on vs memo-off byte identity across engine × order × n_jobs ×
   schedule, with the expanded-node counters and the final memo contents
   independent of how the run was split into tasks;
 * one top-k search per distinct working set on a graph whose Theorem-3
   siblings collide, with hit/miss counters that add up;
-* expanded-node counters equal to the nodes the searches really expanded;
+* expanded-node counters equal to the nodes the searches really expanded,
+  every threshold round of a top-k search included;
 * eviction of exactly the touched entries by ``IncrementalSCPM.update``.
 
 Seeds are fixed so failures replay; CI appends one more seed through
@@ -113,14 +115,14 @@ def test_memo_on_off_byte_identical(seed, engine, order, n_jobs, schedule):
 # ----------------------------------------------------------------------
 # the key
 # ----------------------------------------------------------------------
-def test_key_separates_k_order_and_parameters():
+def test_key_separates_k_and_parameters_but_not_order():
     graph = twin_graph(BASE_SEEDS[0])
     memo = SCPM(graph, PARAMS).pattern_memo
     qc = PARAMS.quasi_clique_params()
     calls = [
         (qc, 4, "dfs"),
-        (qc, 4, "dfs"),  # the only repeat
-        (qc, 4, "bfs"),
+        (qc, 4, "dfs"),  # a repeat
+        (qc, 4, "bfs"),  # also a repeat: top-k does not depend on order
         (qc, 2, "dfs"),
         (PARAMS.with_changes(min_size=4).quasi_clique_params(), 4, "dfs"),
         (PARAMS.with_changes(gamma=0.7).quasi_clique_params(), 4, "dfs"),
@@ -129,7 +131,7 @@ def test_key_separates_k_order_and_parameters():
         top_k_patterns(graph, ["a"], params, k, order=order, memo=memo)
         for params, k, order in calls
     ]
-    assert (memo.hits, memo.misses) == (1, len(calls) - 1)
+    assert (memo.hits, memo.misses) == (2, len(calls) - 2)
     uncached = [
         top_k_patterns(graph, ["a"], params, k, order=order)
         for params, k, order in calls
@@ -211,6 +213,43 @@ def test_node_counters_match_the_searches_that_ran(seed, coverage_memo, monkeypa
 
     assert expanded["coverage"] > 0 and expanded["patterns"] > 0
     assert node_counts(result) == (expanded["coverage"], expanded["patterns"])
+
+
+@pytest.mark.parametrize("coverage_memo", [True, False])
+@pytest.mark.parametrize("seed", fuzz_seeds())
+def test_pattern_nodes_count_every_top_k_round(seed, coverage_memo, monkeypatch):
+    # Top-k runs one enumeration per size threshold; the counter must sum
+    # the nodes of all of them, and every search that ran adds some.
+    graph = twin_graph(seed)
+    runs = [0]
+    rounds = []
+    nodes = []
+
+    original_run = QuasiCliqueSearch._run
+    original_top_k = QuasiCliqueSearch.top_k
+
+    def counting_run(self, *args, **kwargs):
+        runs[0] += 1
+        return original_run(self, *args, **kwargs)
+
+    def counting_top_k(self, k):
+        before = runs[0]
+        out = original_top_k(self, k)
+        rounds.append(runs[0] - before)
+        nodes.append(self.stats.nodes_expanded)
+        return out
+
+    monkeypatch.setattr(QuasiCliqueSearch, "_run", counting_run)
+    monkeypatch.setattr(QuasiCliqueSearch, "top_k", counting_top_k)
+    counters = (
+        SCPM(graph, PARAMS.with_changes(coverage_memo=coverage_memo))
+        .mine()
+        .counters
+    )
+
+    assert nodes and all(count > 0 for count in nodes)
+    assert max(rounds) > 1  # some search ran several rounds
+    assert counters.pattern_nodes_expanded == sum(nodes)
 
 
 # ----------------------------------------------------------------------

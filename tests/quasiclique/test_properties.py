@@ -9,7 +9,11 @@ soundness of every pruning rule.
 from hypothesis import given, settings, strategies as st
 
 from repro.graph.attributed_graph import AttributedGraph
-from repro.quasiclique.definitions import QuasiCliqueParams, satisfies_degree_condition
+from repro.quasiclique.definitions import (
+    QuasiCliqueParams,
+    gamma_of,
+    satisfies_degree_condition,
+)
 from repro.quasiclique.reference import (
     brute_force_covered_vertices,
     brute_force_maximal_quasi_cliques,
@@ -76,38 +80,21 @@ def test_enumeration_without_distance_pruning_matches(case):
 @given(random_graphs(), st.integers(min_value=1, max_value=4))
 @settings(max_examples=80, deadline=None)
 def test_top_k_guarantees(case, k):
-    """Guarantees of the top-k search (Section 3.2.3).
+    """Top-k is exact (Section 3.2.3).
 
-    The dynamic size threshold prunes against the *current* pattern set,
-    which may momentarily contain non-maximal candidates (the paper's rule
-    has the same behaviour), so the exact k-th size is not guaranteed — but
-    the largest pattern is exact, every returned set satisfies the
-    definition, the results form an antichain, and sizes never exceed the
-    true maxima.
+    The result is the first ``k`` maximal quasi-cliques ranked by size,
+    then γ, then sorted vertex reprs — every rank, not just the first.
     """
     graph, params = case
     adjacency = {v: set(graph.neighbor_set(v)) for v in graph.vertices()}
-    expected = brute_force_maximal_quasi_cliques(graph, params)
+    expected = sorted(
+        brute_force_maximal_quasi_cliques(graph, params),
+        key=lambda s: (-len(s), -gamma_of(adjacency, s), sorted(map(repr, s))),
+    )[:k]
     top = QuasiCliqueSearch(graph, params).top_k(k)
-    assert len(top) <= k
+    assert [vertex_set for vertex_set, _ in top] == expected
     for vertex_set, gamma in top:
-        assert satisfies_degree_condition(adjacency, vertex_set, params)
-        assert len(vertex_set) >= params.min_size
-        assert 0.0 <= gamma <= 1.0
-    # pairwise incomparable
-    sets = [vertex_set for vertex_set, _ in top]
-    for first in sets:
-        for second in sets:
-            if first is not second:
-                assert not first < second
-    if expected:
-        assert top, "patterns exist but none were returned"
-        # the top-1 pattern is exactly the largest maximal quasi-clique size
-        assert len(top[0][0]) == len(expected[0])
-        # no returned pattern can exceed the largest maximal size
-        assert all(len(s) <= len(expected[0]) for s in sets)
-    else:
-        assert top == []
+        assert gamma == gamma_of(adjacency, vertex_set)
 
 
 @given(random_graphs())

@@ -4,10 +4,10 @@ The seeded differential grid at the end checks every mode against the
 brute-force reference on random graphs of 10–20 vertices — whole graphs,
 vertex-restricted searches and targeted coverage — and, up to 30
 vertices, checks that the vertex-set engine changes nothing (results and
-expansion statistics), that distance pruning is sound and that top-k
-keeps its documented guarantees.  Seeds are fixed so failures replay; CI
-appends one more seed through the ``REPRO_FUZZ_SEED`` environment
-variable.
+expansion statistics) and that distance pruning is sound.  Top-k is
+checked on every rank against the brute-force ranking of the maximal
+sets.  Seeds are fixed so failures replay; CI appends one more seed
+through the ``REPRO_FUZZ_SEED`` environment variable.
 """
 
 import functools
@@ -22,7 +22,6 @@ from repro.graph.attributed_graph import AttributedGraph
 from repro.quasiclique.definitions import (
     QuasiCliqueParams,
     gamma_of,
-    satisfies_degree_condition,
 )
 from repro.quasiclique.reference import (
     brute_force_covered_vertices,
@@ -165,6 +164,18 @@ class TestEngineDetails:
         with pytest.raises(SearchBudgetExceeded):
             search.enumerate_maximal()
 
+    def test_top_k_budget_covers_every_round(self, example_graph):
+        # k=50 exceeds the 5 maximal sets, so top-k runs down to min_size.
+        params = QuasiCliqueParams(gamma=0.6, min_size=4)
+        unbounded = QuasiCliqueSearch(example_graph, params)
+        unbounded.top_k(50)
+        total = unbounded.stats.nodes_expanded
+        exact = QuasiCliqueSearch(example_graph, params, node_budget=total)
+        assert {s for s, _ in exact.top_k(50)} == EXAMPLE_MAXIMAL
+        short = QuasiCliqueSearch(example_graph, params, node_budget=total - 1)
+        with pytest.raises(SearchBudgetExceeded):
+            short.top_k(50)
+
     def test_disable_distance_pruning_same_result(self, example_graph):
         params = QuasiCliqueParams(gamma=0.6, min_size=4)
         with_pruning = QuasiCliqueSearch(example_graph, params).enumerate_maximal()
@@ -246,13 +257,24 @@ def adjacency_of(graph):
     return {v: set(graph.neighbor_set(v)) for v in graph.vertices()}
 
 
-def best_pattern(adjacency, maximal):
-    """Rank 1 of top-k: the largest maximal set, then the densest."""
-    return min(
+def brute_force_ranking(graph, maximal):
+    """Every maximal set as ``(vertices, γ)``, in top-k order.
+
+    Largest first, then densest, then by sorted vertex reprs (Section
+    3.2.3); ``top_k(k)`` must equal the first ``k`` entries.
+    """
+    adjacency = adjacency_of(graph)
+    ranked = sorted(
         maximal,
         key=lambda s: (-len(s), -gamma_of(adjacency, s), sorted(map(repr, s))),
-        default=None,
     )
+    return [(s, gamma_of(adjacency, s)) for s in ranked]
+
+
+def assert_top_k_exact(top, ranking, k):
+    expected = ranking[:k]
+    assert [vertex_set for vertex_set, _ in top] == [s for s, _ in expected]
+    assert [g for _, g in top] == pytest.approx([g for _, g in expected])
 
 
 def stats_tuple(stats):
@@ -263,13 +285,11 @@ def stats_tuple(stats):
         stats.satisfying_sets_found,
         stats.pruned_hopeless,
         stats.pruned_covered,
-        stats.pruned_by_size,
     )
 
 
 def assert_modes_match(graph, params, maximal, covered, vertices=None):
-    adjacency = adjacency_of(graph)
-    best = best_pattern(adjacency, maximal)
+    ranking = brute_force_ranking(graph, maximal)
     for order in (DFS, BFS):
         def search():
             return QuasiCliqueSearch(graph, params, vertices=vertices, order=order)
@@ -278,13 +298,7 @@ def assert_modes_match(graph, params, maximal, covered, vertices=None):
         assert len(found) == len(set(found))
         assert set(found) == set(maximal)
         assert search().covered_vertices() == covered
-        top = search().top_k(4)
-        if best is None:
-            assert top == []
-        else:
-            vertex_set, top_gamma = top[0]
-            assert vertex_set == best
-            assert top_gamma == pytest.approx(gamma_of(adjacency, best))
+        assert_top_k_exact(search().top_k(4), ranking, 4)
 
 
 @pytest.mark.parametrize("seed", fuzz_seeds())
@@ -386,12 +400,11 @@ def test_distance_pruning_is_sound(
                     use_distance_pruning=use_distance_pruning,
                 )
 
-            top = search().top_k(4)
             results.append(
                 (
                     set(search().enumerate_maximal()),
                     search().covered_vertices(),
-                    top[:1],
+                    search().top_k(4),
                 )
             )
         assert results[0] == results[1]
@@ -399,42 +412,83 @@ def test_distance_pruning_is_sound(
 
 @pytest.mark.parametrize("seed", fuzz_seeds())
 @pytest.mark.parametrize(
-    "num_vertices,edge_probability,gamma,min_size", CASE_GRID[:4]
+    "num_vertices,edge_probability,gamma,min_size", BRUTE_FORCE_GRID
 )
 def test_top_k_guarantees(seed, num_vertices, edge_probability, gamma, min_size):
-    # The guarantees the top_k docstring states for every rank, not just
-    # the exact rank 1.
-    graph = fuzz_graph(seed, num_vertices, edge_probability)
-    params = QuasiCliqueParams(gamma=gamma, min_size=min_size)
-    adjacency = adjacency_of(graph)
+    # Every rank of top_k(k) equals the brute-force ranking.
+    graph, params, maximal, _ = brute_force_case(
+        seed, num_vertices, edge_probability, gamma, min_size
+    )
+    ranking = brute_force_ranking(graph, maximal)
     for order in (DFS, BFS):
-        top = QuasiCliqueSearch(graph, params, order=order).top_k(4)
-        assert len(top) <= 4
-        for vertex_set, top_gamma in top:
-            assert len(vertex_set) >= min_size
-            assert satisfies_degree_condition(adjacency, vertex_set, params)
-            assert top_gamma == pytest.approx(gamma_of(adjacency, vertex_set))
-        sets = [vertex_set for vertex_set, _ in top]
-        for i, first in enumerate(sets):
-            for second in sets[i + 1:]:
-                assert not first <= second and not second <= first
-        keys = [(-len(vertex_set), -g) for vertex_set, g in top]
-        assert keys == sorted(keys)
+        for use_distance_pruning in (True, False):
+            for k in (1, 2, 4, 50):
+                search = QuasiCliqueSearch(
+                    graph,
+                    params,
+                    order=order,
+                    use_distance_pruning=use_distance_pruning,
+                )
+                assert_top_k_exact(search.top_k(k), ranking, k)
+
+
+def graph_from_edges(num_vertices, edges):
+    graph = AttributedGraph()
+    for v in range(num_vertices):
+        graph.add_vertex(v)
+    for u, v in edges:
+        graph.add_edge(u, v)
+    return graph
+
+
+@pytest.mark.parametrize(
+    "num_vertices,edges,gamma,min_size,k,order",
+    [
+        # A size threshold taken from unconfirmed candidates once dropped
+        # the 7-vertex rank 2 here and returned only the 11-vertex set.
+        (
+            13,
+            [(0, 1), (0, 4), (0, 5), (0, 6), (0, 7), (0, 10), (0, 12),
+             (1, 4), (1, 5), (1, 6), (1, 8), (1, 10), (2, 3), (2, 4),
+             (2, 5), (2, 6), (2, 7), (2, 10), (2, 12), (3, 9), (3, 11),
+             (4, 5), (4, 6), (4, 7), (4, 8), (4, 11), (5, 6), (5, 8),
+             (5, 12), (6, 7), (6, 9), (6, 10), (7, 8), (7, 9), (8, 9),
+             (8, 10), (8, 11), (8, 12), (9, 10), (9, 12), (10, 12),
+             (11, 12)],
+            0.5, 4, 2, DFS,
+        ),
+        # ... and returned 3 of the 4 sets here.
+        (
+            11,
+            [(0, 8), (0, 9), (1, 3), (1, 5), (1, 6), (1, 7), (1, 8),
+             (1, 9), (2, 4), (2, 7), (2, 8), (2, 9), (3, 4), (3, 5),
+             (3, 6), (3, 9), (4, 5), (4, 6), (4, 8), (4, 9), (4, 10),
+             (5, 8), (5, 10), (6, 7), (6, 8), (6, 9), (6, 10), (7, 9)],
+            0.75, 4, 4, BFS,
+        ),
+    ],
+)
+def test_top_k_regressions(num_vertices, edges, gamma, min_size, k, order):
+    graph = graph_from_edges(num_vertices, edges)
+    params = QuasiCliqueParams(gamma=gamma, min_size=min_size)
+    ranking = brute_force_ranking(
+        graph, brute_force_maximal_quasi_cliques(graph, params)
+    )
+    assert len(ranking) >= k
+    top = QuasiCliqueSearch(graph, params, order=order).top_k(k)
+    assert_top_k_exact(top, ranking, k)
 
 
 def test_deep_member_paths_match_brute_force():
     # A 14-clique in which vertex 0 misses four edges: the root lookahead
     # fails and the search recurses into member paths of ten and more
     # vertices.
-    graph = AttributedGraph()
     clique = list(range(14))
     missing = {(0, 1), (0, 2), (0, 3), (0, 4)}
-    for v in clique:
-        graph.add_vertex(v)
-    for i in clique:
-        for j in clique[i + 1:]:
-            if (i, j) not in missing:
-                graph.add_edge(i, j)
+    graph = graph_from_edges(
+        len(clique),
+        [(i, j) for i in clique for j in clique[i + 1:] if (i, j) not in missing],
+    )
     params = QuasiCliqueParams(gamma=0.9, min_size=10)
     maximal = brute_force_maximal_quasi_cliques(graph, params)
     assert frozenset(clique[1:]) in maximal
